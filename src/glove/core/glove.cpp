@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "glove/core/scalability.hpp"
@@ -26,12 +28,22 @@ double seconds_since(Clock::time_point start) {
 /// entries (detected on pop via the `alive` flags), and — in the pruned
 /// variant — an entry may carry only a bounding-box *lower bound* on the
 /// stretch (`exact == false`), refined to the true value when it reaches
-/// the top of the heap.
+/// the top of the heap.  Packed to 16 bytes (the heap holds O(n^2) of
+/// them): `b` shares a word with the `exact` flag, so node ids must stay
+/// below 2^31 (see kMaxInputFingerprints).
 struct PairEntry {
-  double stretch;
-  std::uint32_t a;
-  std::uint32_t b;
-  bool exact = true;
+  double stretch = 0.0;
+  std::uint32_t a = 0;
+  std::uint32_t b : 31 = 0;
+  std::uint32_t exact : 1 = 1;
+
+  PairEntry() = default;
+  PairEntry(double value, std::uint32_t first, std::uint32_t second,
+            bool is_exact = true) noexcept
+      : stretch{value},
+        a{first},
+        b{second & 0x7FFFFFFFu},
+        exact{is_exact ? 1u : 0u} {}
 
   friend bool operator>(const PairEntry& lhs, const PairEntry& rhs) {
     if (lhs.stretch != rhs.stretch) return lhs.stretch > rhs.stretch;
@@ -43,11 +55,18 @@ struct PairEntry {
     return lhs.b > rhs.b;
   }
 };
+static_assert(sizeof(PairEntry) == 16, "PairEntry must stay 16 bytes");
+
+/// A run of n inputs creates at most 2n node ids (inputs, then one per
+/// merge), and every id must fit PairEntry's 31-bit `b`.
+constexpr std::size_t kMaxInputFingerprints = std::size_t{1} << 30;
 
 /// Cancellation poll interval inside parallel init chunks (elements).
 constexpr std::size_t kCancelPollMask = 0x1FFF;
 
-GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
+/// Takes the dataset by value: callers holding a temporary move it in, so
+/// the node store adopts the input fingerprints without a copy.
+GloveResult anonymize_impl(cdr::FingerprintDataset data,
                            const GloveConfig& config,
                            const util::RunHooks& hooks, bool lazy_init) {
   if (config.k < 2) {
@@ -56,6 +75,11 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
   if (data.size() < config.k) {
     throw std::invalid_argument{
         "dataset smaller than the target anonymity level k"};
+  }
+  if (data.size() > kMaxInputFingerprints) {
+    throw util::DatasetError{
+        "GLOVE run exceeds 2^30 fingerprints (node ids must fit 31 bits); "
+        "shard the dataset instead"};
   }
 
   GloveResult result;
@@ -69,9 +93,14 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
   merge_options.suppression = config.suppression;
 
   // Node store: input fingerprints first, merged fingerprints appended.
-  std::vector<cdr::Fingerprint> nodes{data.fingerprints().begin(),
-                                      data.fingerprints().end()};
+  std::vector<cdr::Fingerprint> nodes = std::move(data.mutable_fingerprints());
   nodes.reserve(nodes.size() * 2);
+  // Nothing reads a dead node again (is_open tests `alive` first, output
+  // collects alive nodes only), so merged-away inputs free their samples
+  // at once instead of holding them until the run ends.
+  const auto release = [&](std::uint32_t id) {
+    nodes[id] = cdr::Fingerprint{};
+  };
   std::vector<bool> alive(nodes.size(), true);
   // Nodes whose group already reaches k: finalized, out of the greedy set.
   std::vector<std::uint32_t> finalized;
@@ -198,7 +227,7 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
       if (!top.exact) {
         top.stretch =
             fingerprint_stretch(nodes[top.a], nodes[top.b], config.limits);
-        top.exact = true;
+        top.exact = 1;
         ++stats.stretch_evaluations;
         ++refined;
         heap.push_back(top);
@@ -221,6 +250,8 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
                                                  merge_options, &merge_stats);
     stats.deleted_samples += merge_stats.suppressed_original_samples;
     ++stats.merges;
+    release(top.a);
+    release(top.b);
     const auto m_id = static_cast<std::uint32_t>(nodes.size());
     nodes.push_back(std::move(merged));
     alive.push_back(true);
@@ -309,6 +340,8 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
         ++stats.merges;
         alive[leftover] = false;
         alive[best_id] = false;
+        release(leftover);
+        release(best_id);
         nodes.push_back(std::move(merged));
         alive.push_back(true);
         std::replace(finalized.begin(), finalized.end(), best_id,
@@ -330,7 +363,7 @@ GloveResult anonymize_impl(const cdr::FingerprintDataset& data,
   std::vector<cdr::Fingerprint> output;
   output.reserve(finalized.size());
   for (const std::uint32_t id : finalized) {
-    if (alive[id]) output.push_back(nodes[id]);
+    if (alive[id]) output.push_back(std::move(nodes[id]));
   }
   stats.output_groups = output.size();
   cdr::FingerprintDataset anonymized{std::move(output),
@@ -357,6 +390,12 @@ GloveResult anonymize_pruned(const cdr::FingerprintDataset& data,
                              const GloveConfig& config,
                              const util::RunHooks& hooks) {
   return anonymize_impl(data, config, hooks, /*lazy_init=*/true);
+}
+
+GloveResult anonymize_pruned(cdr::FingerprintDataset&& data,
+                             const GloveConfig& config,
+                             const util::RunHooks& hooks) {
+  return anonymize_impl(std::move(data), config, hooks, /*lazy_init=*/true);
 }
 
 bool is_k_anonymous(const cdr::FingerprintDataset& data, std::uint32_t k) {

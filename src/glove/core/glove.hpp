@@ -80,7 +80,9 @@ struct GloveResult {
 /// Runs GLOVE on `data` with observability hooks threaded into the hot
 /// loops.  Requires data.size() >= k >= 2 (a dataset smaller than the
 /// target crowd cannot be k-anonymized); throws std::invalid_argument
-/// otherwise.  Deterministic for a given input and configuration,
+/// otherwise, and util::DatasetError for more than 2^30 fingerprints (the
+/// candidate heap packs node ids into 31 bits).  Deterministic for a
+/// given input and configuration,
 /// independent of thread count.
 ///
 /// Progress units: initial pair evaluations plus fingerprints closed by

@@ -91,6 +91,13 @@ struct ChunkedConfig {
                                            const GloveConfig& config,
                                            const util::RunHooks& hooks = {});
 
+/// Same run, adopting `data`'s fingerprints as the node store instead of
+/// copying them (shard and reconcile jobs hand over a temporary).  Bytes
+/// and stats equal the overload above.
+[[nodiscard]] GloveResult anonymize_pruned(cdr::FingerprintDataset&& data,
+                                           const GloveConfig& config,
+                                           const util::RunHooks& hooks = {});
+
 }  // namespace glove::core
 
 #endif  // GLOVE_CORE_SCALABILITY_HPP

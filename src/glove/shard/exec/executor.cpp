@@ -19,10 +19,10 @@ std::string_view executor_kind_name(ExecutorKind kind) noexcept {
 
 std::unique_ptr<ShardExecutor> make_shard_executor(
     const ShardConfig& config, const std::optional<std::string>& source_path,
-    std::uint64_t total_fingerprints, std::size_t shard_count) {
+    std::uint64_t total_fingerprints, std::size_t max_batch_jobs) {
   switch (config.executor) {
     case ExecutorKind::kInProcess:
-      return std::make_unique<InProcessExecutor>(config, shard_count);
+      return std::make_unique<InProcessExecutor>(config, max_batch_jobs);
     case ExecutorKind::kProcess:
       if (!source_path.has_value()) {
         throw std::invalid_argument{
@@ -31,7 +31,7 @@ std::unique_ptr<ShardExecutor> make_shard_executor(
             "shared file, which an in-memory source does not have"};
       }
       return std::make_unique<ProcessPoolExecutor>(
-          config, *source_path, total_fingerprints, shard_count);
+          config, *source_path, total_fingerprints, max_batch_jobs);
   }
   throw std::invalid_argument{"unknown shard executor kind"};
 }

@@ -25,21 +25,33 @@
 
 namespace glove::shard::exec {
 
-/// One serialized unit of shard work: shard `shard` of the current plan.
-/// `member_ids` names the slice (dataset indices in planned member order);
-/// `inputs` carries the materialized fingerprints when the caller
-/// materializes (executors whose `reads_source()` is true re-read the
-/// slice from the shared source file themselves and receive `inputs`
-/// empty).
+/// What a job is: a planned shard, or one halo-reconciliation GLOVE
+/// chunk.  Both run the same pruned GLOVE over their slice; the kind only
+/// picks the trace span and the plane counters the job is billed to
+/// (stream.shard / stream.shards_run vs stream.reconcile.chunk).
+enum class JobKind { kShard, kReconcileChunk };
+
+/// One serialized unit of GLOVE work: shard `shard` of the current plan,
+/// or reconcile chunk `shard` of the reconcile plan.  `member_ids` names
+/// the slice (dataset indices in planned member order); `inputs` carries
+/// the materialized fingerprints when the caller materializes (executors
+/// whose `reads_source()` is true re-read the slice from the shared
+/// source file themselves and receive `inputs` empty).  `progress`, when
+/// set, receives the job's inner GLOVE progress (in that run's own units,
+/// on an executor thread, so it must be thread-safe) from executors that
+/// run jobs in this process; others report a job only through the
+/// batch's ShardResultFn.
 struct ShardJob {
+  JobKind kind = JobKind::kShard;
   std::size_t shard = 0;
   const std::vector<std::uint32_t>* member_ids = nullptr;
   std::vector<cdr::Fingerprint> inputs;
+  util::ProgressFn progress;
 };
 
-/// What running one shard produced: the finalized groups plus the cost
+/// What running one job produced: the finalized groups plus the cost
 /// counters the caller folds via GloveStats::accumulate_costs and the
-/// per-shard timing row for the run report.
+/// timing row (the run report's per-shard row for shard jobs).
 struct ShardResult {
   ShardTiming timing;
   std::vector<cdr::Fingerprint> groups;
@@ -47,7 +59,8 @@ struct ShardResult {
 };
 
 /// Per-worker accounting surfaced in the run report's "exec" section
-/// (process pool only; the in-process executor reports none).
+/// (process pool only; the in-process executor reports none).  Counts
+/// every job a worker ran, shards and reconcile chunks alike.
 struct ExecWorkerStats {
   std::uint64_t worker = 0;
   std::uint64_t jobs = 0;
@@ -60,9 +73,10 @@ struct ExecWorkerStats {
 /// caller must make it thread-safe); drives progress reporting.
 using ShardResultFn = std::function<void(const ShardResult&)>;
 
-/// Executes batches of shard jobs.  Implementations must return results
-/// in job order and must be deterministic: identical jobs yield identical
-/// groups regardless of worker count or scheduling.
+/// Executes batches of jobs (the shard batches, then each reconcile
+/// pass's chunks).  Implementations must return results in job order and
+/// must be deterministic: identical jobs yield identical groups
+/// regardless of worker count or scheduling.
 class ShardExecutor {
  public:
   virtual ~ShardExecutor() = default;
@@ -99,10 +113,12 @@ class ShardExecutor {
 /// backing the stream (nullopt for in-memory sources); the process
 /// executor requires it and throws std::invalid_argument otherwise.
 /// `total_fingerprints` is the pass-1 count (workers validate their
-/// re-reads against it); `shard_count` caps the resolved parallelism.
+/// re-reads against it); `max_batch_jobs` — the most jobs one batch can
+/// hold, i.e. the larger of the shard and reconcile-chunk counts — caps
+/// the resolved parallelism.
 [[nodiscard]] std::unique_ptr<ShardExecutor> make_shard_executor(
     const ShardConfig& config, const std::optional<std::string>& source_path,
-    std::uint64_t total_fingerprints, std::size_t shard_count);
+    std::uint64_t total_fingerprints, std::size_t max_batch_jobs);
 
 }  // namespace glove::shard::exec
 

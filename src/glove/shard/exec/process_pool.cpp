@@ -75,11 +75,11 @@ namespace {
 }
 
 std::size_t resolve_worker_count(const ShardConfig& config,
-                                 std::size_t shard_count) {
+                                 std::size_t max_batch_jobs) {
   std::size_t requested = config.exec_workers;
   if (requested == 0) requested = util::ThreadPool::shared().size();
   return std::min(std::max<std::size_t>(requested, 1),
-                  std::max<std::size_t>(shard_count, 1));
+                  std::max<std::size_t>(max_batch_jobs, 1));
 }
 
 }  // namespace
@@ -87,14 +87,14 @@ std::size_t resolve_worker_count(const ShardConfig& config,
 ProcessPoolExecutor::ProcessPoolExecutor(const ShardConfig& config,
                                          std::string source_path,
                                          std::uint64_t total_fingerprints,
-                                         std::size_t shard_count)
+                                         std::size_t max_batch_jobs)
     : worker_binary_{resolve_worker_binary(config.worker_binary)} {
   hello_.source_path = std::move(source_path);
   hello_.expected_fingerprints = total_fingerprints;
   hello_.glove = config.glove;
 
   static const obs::Counter c_spawned = obs::counter("exec.workers_spawned");
-  const std::size_t count = resolve_worker_count(config, shard_count);
+  const std::size_t count = resolve_worker_count(config, max_batch_jobs);
   workers_.resize(count);
   try {
     for (std::size_t i = 0; i < count; ++i) spawn_worker(i);
@@ -225,7 +225,9 @@ std::vector<ShardResult> ProcessPoolExecutor::run_batch(
     const util::RunHooks& hooks) {
   // Mirrors the in-process executor's deterministic plane counters so the
   // run report's "obs" section stays executor-independent, plus the
-  // dispatch accounting specific to this backend.
+  // dispatch accounting specific to this backend.  Reconcile-chunk jobs
+  // travel as ordinary slices (the worker runs the same pruned GLOVE) and
+  // are counted by the stream that plans them, never as shards.
   static const obs::Counter c_shards = obs::counter("stream.shards_run");
   static const obs::Histogram h_shard_members =
       obs::histogram("stream.shard.members");
@@ -299,8 +301,10 @@ std::vector<ShardResult> ProcessPoolExecutor::run_batch(
                            std::to_string(job.shard));
       }
       const std::size_t members = job.member_ids->size();
-      c_shards.add();
-      h_shard_members.observe(members);
+      if (job.kind == JobKind::kShard) {
+        c_shards.add();
+        h_shard_members.observe(members);
+      }
       // Fold the worker's counter increments (the core.heap.* and
       // source-side counters that ticked in its address space) into this
       // process's registry: the engine's before/after delta then reports

@@ -31,7 +31,7 @@ class ProcessPoolExecutor final : public ShardExecutor {
   /// std::invalid_argument immediately).
   ProcessPoolExecutor(const ShardConfig& config, std::string source_path,
                       std::uint64_t total_fingerprints,
-                      std::size_t shard_count);
+                      std::size_t max_batch_jobs);
   ~ProcessPoolExecutor() override;
 
   ProcessPoolExecutor(const ProcessPoolExecutor&) = delete;

@@ -15,14 +15,14 @@
 //   * reconcile_leftovers — the monolithic form over materialized
 //     leftovers (the in-memory wrapper and the rare buffered-absorb tail
 //     of a streaming run);
-//   * plan_reconcile + reconcile_chunk — the chunk-resumable form the
-//     streaming pipeline drives: the schedule is computed from
-//     per-leftover bounding geometry and group sizes alone (both already
-//     resident after the pass-1 scan), then each GLOVE chunk is
-//     materialized by its own rewound pass and fed through
-//     reconcile_chunk.  Chunk membership, member order and per-chunk
-//     execution are exactly anonymize_chunked's, so the two shapes emit
-//     identical bytes.
+//   * plan_reconcile + one pruned-GLOVE run per chunk — the
+//     chunk-resumable form the streaming pipeline drives: the schedule is
+//     computed from per-leftover bounding geometry and group sizes alone
+//     (both already resident after the pass-1 scan), then the chunks are
+//     materialized by rewound passes and run as ShardExecutor jobs (each
+//     exactly what reconcile_chunk does).  Chunk membership, member order
+//     and per-chunk execution are exactly anonymize_chunked's, so the two
+//     shapes emit identical bytes.
 
 #ifndef GLOVE_SHARD_RECONCILE_HPP
 #define GLOVE_SHARD_RECONCILE_HPP
@@ -90,7 +90,8 @@ struct ReconcilePlan {
 /// the whole sub-k set byte for byte — each chunk is an independent
 /// pruned-GLOVE run.  `hooks` forward into the inner run (progress in the
 /// inner run's own units; adapt before calling when a different scale is
-/// reported upstream).
+/// reported upstream).  The streaming pipeline runs the same GLOVE call
+/// as an executor job instead.
 void reconcile_chunk(std::vector<cdr::Fingerprint> members,
                      const ShardConfig& config, ReconcileStats& stats,
                      const std::function<void(cdr::Fingerprint&&)>& emit,

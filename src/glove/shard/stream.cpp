@@ -145,7 +145,8 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
 
   // Deterministic plane counters (counts only — they surface in the run
   // report's "obs" section); the per-shard counters live with the
-  // executors that run the shards.
+  // executors that run the shards, the reconcile-chunk counters here with
+  // the plan that forms the chunks.
   static const obs::Counter c_batches = obs::counter("stream.shard_batches");
   static const obs::Counter c_chunks = obs::counter("stream.reconcile_chunks");
 
@@ -188,22 +189,44 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
   const std::size_t shard_count = plan.shards.size();
   result.stats.tiles = plan.tiles;
   result.stats.shards = shard_count;
-  result.stats.plan_seconds = seconds_since(plan_start);
-  hooks.throw_if_cancelled();
 
   result.shard_timings.resize(shard_count);
   std::size_t deferred_total = 0;
-  std::size_t subk_deferred = 0;
   for (std::size_t s = 0; s < shard_count; ++s) {
     result.shard_timings[s].shard = s;
     result.shard_timings[s].input_fingerprints = split.kept[s].size();
     result.shard_timings[s].deferred = split.deferred[s].size();
     deferred_total += split.deferred[s].size();
-    for (const std::uint32_t id : split.deferred[s]) {
-      if (scan.group_sizes[id] < resolved.glove.k) ++subk_deferred;
-    }
   }
   result.stats.deferred_fingerprints = deferred_total;
+
+  // The reconciliation is planned here, from pass-1 residue alone
+  // (per-fingerprint bounds kept by the tiling, group sizes from the
+  // scan): its chunk count sizes the executor next to the shard count,
+  // and its tail decides the buffered mode below.  Leftover ids are in
+  // (shard, member) order — the exact sequence the buffered path
+  // materializes.
+  std::vector<std::uint32_t> leftover_ids;
+  leftover_ids.reserve(deferred_total);
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    for (const std::uint32_t id : split.deferred[s]) {
+      leftover_ids.push_back(id);
+    }
+  }
+  const ReconcilePlan rplan = [&] {
+    GLOVE_SPAN("stream.plan.reconcile");
+    std::vector<core::FingerprintBounds> leftover_bounds;
+    std::vector<std::uint32_t> leftover_sizes;
+    leftover_bounds.reserve(leftover_ids.size());
+    leftover_sizes.reserve(leftover_ids.size());
+    for (const std::uint32_t id : leftover_ids) {
+      leftover_bounds.push_back(tiling.bounds[id]);
+      leftover_sizes.push_back(scan.group_sizes[id]);
+    }
+    return plan_reconcile(leftover_bounds, leftover_sizes, resolved);
+  }();
+  result.stats.plan_seconds = seconds_since(plan_start);
+  hooks.throw_if_cancelled();
 
   // Absorbing a sub-k tail (fewer than k deferred singles under
   // kMergeIntoNearest) rewrites the nearest already-finalized group, so
@@ -212,12 +235,11 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
   // leftovers during the shard batch passes — they are at most k-1 sub-k
   // fingerprints plus the >=k pass-throughs).  Every other tail shape
   // only appends, so groups flow to the emitter as shards complete and
-  // the deferred leftovers are materialized later, chunk by chunk, by the
-  // streaming reconciliation passes.
+  // the deferred leftovers are materialized later, pass by pass, by the
+  // streaming reconciliation.
+  const core::LeftoverPolicy policy = resolved.glove.leftover_policy;
   const bool buffered =
-      resolved.glove.leftover_policy ==
-          core::LeftoverPolicy::kMergeIntoNearest &&
-      subk_deferred > 0 && subk_deferred < resolved.glove.k;
+      policy == core::LeftoverPolicy::kMergeIntoNearest && !rplan.tail.empty();
 
   std::uint64_t emitted_groups = 0;
   std::uint64_t emitted_samples = 0;
@@ -235,14 +257,18 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
   // --- Passes 2..: materialize and run contiguous shard batches through
   // the configured ShardExecutor.  The batch budget caps resident
   // fingerprints at roughly one shard per executor worker, which also
-  // keeps the workers busy.
+  // keeps the workers busy.  The executor also runs the reconcile
+  // chunks, so it is sized for whichever phase has more jobs: a plan
+  // with few shards but many chunks still reconciles in parallel.
+  const std::size_t max_jobs = std::max(shard_count, rplan.chunks.size());
   const std::unique_ptr<exec::ShardExecutor> executor =
-      exec::make_shard_executor(resolved, source.file_path(), n, shard_count);
+      exec::make_shard_executor(resolved, source.file_path(), n, max_jobs);
   const std::size_t batch_budget = std::max<std::size_t>(
       resolved.max_shard_users * executor->workers(), 1);
   // Executors that re-read the source themselves (process pool) receive
   // the member ids only; the coordinator then materializes nothing for
-  // the kept sets (the buffered tail still fetches its leftovers here).
+  // the kept sets and the reconcile chunks (the buffered tail and the
+  // reconcile pass-throughs and tail still fetch here).
   const bool local_inputs = !executor->reads_source();
 
   const std::uint64_t total_work = n + 1;  // +1: the final reconcile tick
@@ -382,65 +408,39 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
       emit(std::move(fp));
     }
   } else {
-    // Streaming reconciliation: plan the whole phase from pass-1 residue
-    // (per-fingerprint bounds kept by the tiling, group sizes from the
-    // scan), then materialize one budget's worth of reconcile units per
-    // rewound pass — the leftover analogue of the shard batches.  No
-    // fingerprint is held before the pass that consumes it, so the
-    // O(borders) term of the old whole-materialize reconcile is gone.
+    // Streaming reconciliation: materialize one budget's worth of
+    // reconcile units per rewound pass — the leftover analogue of the
+    // shard batches — and run the pass's GLOVE chunks as one executor
+    // batch.  Chunk membership is fixed by the plan, so the chunks are
+    // independent jobs exactly like shards.  No fingerprint is held
+    // before the pass that consumes it.
     const auto reconcile_start = Clock::now();
     ReconcileStats rstats;
 
-    // Leftover ids in (shard, member) order — the exact sequence the
-    // buffered path would materialize.
-    std::vector<std::uint32_t> leftover_ids;
-    leftover_ids.reserve(deferred_total);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      for (const std::uint32_t id : split.deferred[s]) {
-        leftover_ids.push_back(id);
-      }
-    }
-    std::vector<core::FingerprintBounds> leftover_bounds;
-    std::vector<std::uint32_t> leftover_sizes;
-    leftover_bounds.reserve(leftover_ids.size());
-    leftover_sizes.reserve(leftover_ids.size());
-    for (const std::uint32_t id : leftover_ids) {
-      leftover_bounds.push_back(tiling.bounds[id]);
-      leftover_sizes.push_back(scan.group_sizes[id]);
-    }
-    const ReconcilePlan rplan =
-        plan_reconcile(leftover_bounds, leftover_sizes, resolved);
-
-    // One pass materializes whole units in phase order: the >= k
+    // A pass covers a contiguous run of units in phase order: the >= k
     // pass-throughs, each GLOVE chunk, then the policy tail.  (The tail
     // here is suppress-only: a sub-k tail under kMergeIntoNearest took
     // the buffered branch above.)
-    enum class UnitKind { kPassthrough, kChunk, kTail };
-    struct Unit {
-      UnitKind kind;
-      const std::vector<std::uint32_t>* positions;
-    };
-    std::vector<Unit> units;
+    std::vector<const std::vector<std::uint32_t>*> units;
     units.reserve(rplan.chunks.size() + 2);
-    if (!rplan.passthrough.empty()) {
-      units.push_back({UnitKind::kPassthrough, &rplan.passthrough});
-    }
+    if (!rplan.passthrough.empty()) units.push_back(&rplan.passthrough);
     for (const std::vector<std::uint32_t>& chunk : rplan.chunks) {
-      units.push_back({UnitKind::kChunk, &chunk});
+      units.push_back(&chunk);
     }
-    if (!rplan.tail.empty()) {
-      units.push_back({UnitKind::kTail, &rplan.tail});
-    }
+    if (!rplan.tail.empty()) units.push_back(&rplan.tail);
+    const auto is_chunk = [&](std::size_t u) {
+      return units[u] != &rplan.passthrough && units[u] != &rplan.tail;
+    };
     const std::size_t reconcile_budget =
         resolved.reconcile_chunk_users > 0 ? resolved.reconcile_chunk_users
                                            : batch_budget;
 
-    const std::function<void(cdr::Fingerprint&&)> emit_group = deliver;
+    std::size_t next_chunk = 0;  // plan index of the pass's first chunk
     for (std::size_t first_u = 0; first_u < units.size();) {
       std::size_t last_u = first_u;
       std::size_t pass_members = 0;
       while (last_u < units.size()) {
-        const std::size_t members = units[last_u].positions->size();
+        const std::size_t members = units[last_u]->size();
         if (last_u > first_u && pass_members + members > reconcile_budget) {
           break;
         }
@@ -456,63 +456,109 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
                           obs::log_kv("members", pass_members));
       }
 
+      // Materialize what this process runs: everything, or — when the
+      // executor re-reads chunk slices itself — the pass-throughs and
+      // the tail only.
       std::unordered_map<std::uint32_t, std::uint32_t> slot_of_id;
       std::vector<cdr::Fingerprint> store;
       if (inmem == nullptr) {
-        slot_of_id.reserve(pass_members);
-        store.resize(pass_members);
         std::uint32_t next_slot = 0;
         for (std::size_t u = first_u; u < last_u; ++u) {
-          for (const std::uint32_t position : *units[u].positions) {
+          if (!local_inputs && is_chunk(u)) continue;
+          for (const std::uint32_t position : *units[u]) {
             slot_of_id[leftover_ids[position]] = next_slot++;
           }
         }
-        result.pass_fingerprints.push_back(
-            materialize_pass(source, slot_of_id, store, n, hooks));
-        ++result.stats.reconcile_passes;
+        if (next_slot > 0) {
+          store.resize(next_slot);
+          result.pass_fingerprints.push_back(
+              materialize_pass(source, slot_of_id, store, n, hooks));
+          ++result.stats.reconcile_passes;
+        }
       }
-      const auto fetch = [&](std::uint32_t id) -> cdr::Fingerprint {
+      const auto fetch = [&](std::uint32_t position) -> cdr::Fingerprint {
+        const std::uint32_t id = leftover_ids[position];
         if (inmem != nullptr) return (*inmem)[id];
         return std::move(store[slot_of_id.at(id)]);
       };
 
-      for (std::size_t u = first_u; u < last_u; ++u) {
-        const Unit& unit = units[u];
-        switch (unit.kind) {
-          case UnitKind::kPassthrough: {
-            for (const std::uint32_t position : *unit.positions) {
-              deliver(fetch(leftover_ids[position]));
-            }
-            done += unit.positions->size();
-            hooks.report(done, total_work);
-            break;
-          }
-          case UnitKind::kChunk: {
-            hooks.throw_if_cancelled();
-            GLOVE_SPAN_NAMED(chunk_span, "stream.reconcile.chunk");
-            chunk_span.arg("members", unit.positions->size());
-            c_chunks.add();
-            std::vector<cdr::Fingerprint> members;
-            members.reserve(unit.positions->size());
-            for (const std::uint32_t position : *unit.positions) {
-              members.push_back(fetch(leftover_ids[position]));
-            }
-            reconcile_chunk(std::move(members), resolved, rstats, emit_group,
-                            util::subrange_hooks(hooks, done,
-                                                 unit.positions->size(),
-                                                 total_work));
-            done += unit.positions->size();
-            hooks.report(done, total_work);
-            break;
-          }
-          case UnitKind::kTail: {
-            for (const std::uint32_t position : *unit.positions) {
-              count_suppressed_leftover(fetch(leftover_ids[position]),
-                                        rstats);
-              hooks.report(++done, total_work);
-            }
-            break;
-          }
+      // Units are contiguous in phase order, so a pass is: pass-throughs
+      // (first pass only), then chunks, then the tail (last pass only).
+      std::size_t u = first_u;
+      if (u < last_u && units[u] == &rplan.passthrough) {
+        for (const std::uint32_t position : rplan.passthrough) {
+          deliver(fetch(position));
+        }
+        done += rplan.passthrough.size();
+        hooks.report(done, total_work);
+        ++u;
+      }
+
+      // The pass's chunks: one executor batch, results in plan order.
+      // Per-chunk progress (in util::subrange_hooks units) is summed
+      // across concurrent chunks under the lock, so the reported total
+      // stays monotone.
+      const std::uint64_t chunk_base = done;
+      std::uint64_t chunk_sum = 0;
+      std::vector<std::uint64_t> chunk_done;
+      const auto advance = [&](std::size_t j, std::uint64_t units_done) {
+        if (units_done <= chunk_done[j]) return;
+        chunk_sum += units_done - chunk_done[j];
+        chunk_done[j] = units_done;
+        hooks.report(chunk_base + chunk_sum, total_work);
+      };
+      std::vector<std::vector<std::uint32_t>> chunk_ids;
+      chunk_ids.reserve(last_u - u);  // jobs point into it
+      std::vector<exec::ShardJob> jobs;
+      for (; u < last_u && is_chunk(u); ++u) {
+        const std::size_t j = jobs.size();
+        std::vector<std::uint32_t>& ids = chunk_ids.emplace_back();
+        exec::ShardJob& job = jobs.emplace_back();
+        job.kind = exec::JobKind::kReconcileChunk;
+        job.shard = next_chunk + j;
+        job.member_ids = &ids;
+        ids.reserve(units[u]->size());
+        if (local_inputs) job.inputs.reserve(units[u]->size());
+        for (const std::uint32_t position : *units[u]) {
+          ids.push_back(leftover_ids[position]);
+          if (local_inputs) job.inputs.push_back(fetch(position));
+        }
+        if (hooks.progress) {
+          util::RunHooks forward;
+          forward.progress = [&, j](std::uint64_t units_done, std::uint64_t) {
+            const std::lock_guard lock{progress_mutex};
+            advance(j, units_done);
+          };
+          const util::RunHooks scaled =
+              util::subrange_hooks(forward, 0, ids.size(), total_work);
+          job.progress = scaled.progress;
+        }
+        c_chunks.add();
+      }
+      chunk_done.assign(jobs.size(), 0);
+      if (!jobs.empty()) {
+        const exec::ShardResultFn on_result = [&](const exec::ShardResult& r) {
+          const std::lock_guard lock{progress_mutex};
+          const std::size_t j = r.timing.shard - next_chunk;
+          advance(j, chunk_ids[j].size());
+        };
+        std::vector<exec::ShardResult> chunk_results =
+            executor->run_batch(std::move(jobs), on_result, hooks);
+        for (exec::ShardResult& r : chunk_results) {
+          rstats.glove.accumulate_costs(r.stats);
+          rstats.reconciled_groups += r.groups.size();
+          for (cdr::Fingerprint& fp : r.groups) deliver(std::move(fp));
+        }
+        for (const std::vector<std::uint32_t>& ids : chunk_ids) {
+          done += ids.size();
+        }
+        next_chunk += chunk_ids.size();
+      }
+
+      if (u < last_u) {  // the suppress tail
+        for (const std::uint32_t position : rplan.tail) {
+          count_suppressed_leftover(fetch(position), rstats);
+          hooks.report(++done, total_work);
         }
       }
       first_u = last_u;

@@ -9,20 +9,24 @@
 //             the fingerprints of the shards currently running; finished
 //             groups are pushed to the emitter as each batch completes
 //             and freed immediately;
-//   pass N+ — rewind once per reconciliation chunk batch: the deferred
-//             border leftovers are partitioned into locality-sorted GLOVE
-//             chunks from their pass-1 bounds alone and each pass
-//             materializes one budget's worth (reconcile_chunk_users),
-//             mirroring the shard batches.
+//   pass N+ — rewind once per reconciliation pass: the deferred border
+//             leftovers are partitioned into locality-sorted GLOVE chunks
+//             from their pass-1 bounds alone (planned right after the
+//             border split) and each pass materializes one budget's worth
+//             (reconcile_chunk_users), mirroring the shard batches.  A
+//             pass's chunks are independent GLOVE jobs, so they run
+//             concurrently as one batch on the same ShardExecutor as the
+//             shards, and their groups are emitted in plan order.
 //
 // Peak sample memory is O(largest batch) — bounded by max_shard_users x
-// scheduler workers for the shard phase and by reconcile_chunk_users for
-// the halo reconciliation — instead of O(dataset) or O(borders).  The
-// output is byte-identical to the in-memory pipeline (anonymize_sharded
-// is now a thin wrapper over this core) for every budget, including the
-// rare absorb-leftovers tail case, which falls back to buffering the
-// output groups because absorption may rewrite any already-finalized
-// group.
+// executor workers for the shard phase, and for the halo reconciliation
+// by reconcile_chunk_users materialized members plus at most `workers`
+// in-flight chunk candidate heaps — instead of O(dataset) or O(borders).
+// The output is byte-identical to the in-memory pipeline
+// (anonymize_sharded is a thin wrapper over this core) for every budget
+// and worker count, including the rare absorb-leftovers tail case, which
+// falls back to buffering the output groups because absorption may
+// rewrite any already-finalized group.
 
 #ifndef GLOVE_SHARD_STREAM_HPP
 #define GLOVE_SHARD_STREAM_HPP
@@ -140,10 +144,13 @@ struct StreamShardedResult {
   /// each rewound pass, only the fingerprints that pass materialized —
   /// strictly fewer than the scan's full count.  Under the process
   /// executor the shard batches are read worker-side, so only the
-  /// planning and reconciliation passes appear here.
+  /// planning pass and the reconciliation passes that carry pass-through
+  /// or tail leftovers (chunk slices are read worker-side too) appear
+  /// here.
   std::vector<std::uint64_t> pass_fingerprints;
-  /// Which ShardExecutor ran the shard batches ("inprocess", "process")
-  /// and its resolved parallelism, for the run report's "exec" section.
+  /// Which ShardExecutor ran the shard batches and reconcile chunks
+  /// ("inprocess", "process") and its resolved parallelism, for the run
+  /// report's "exec" section.
   std::string exec_kind;
   std::uint64_t exec_workers = 0;
   /// Per-worker accounting (process executor only; empty otherwise).

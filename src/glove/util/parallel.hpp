@@ -8,7 +8,6 @@
 #ifndef GLOVE_UTIL_PARALLEL_HPP
 #define GLOVE_UTIL_PARALLEL_HPP
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
@@ -37,7 +36,7 @@ void parallel_for(ThreadPool& pool, std::size_t count, const Body& body,
     return;
   }
 
-  std::atomic<std::size_t> remaining{tasks};
+  std::size_t remaining = tasks;  // guarded by done_mutex
   std::mutex done_mutex;
   std::condition_variable done_cv;
   std::exception_ptr first_error;
@@ -53,17 +52,17 @@ void parallel_for(ThreadPool& pool, std::size_t count, const Body& body,
         const std::lock_guard lock{error_mutex};
         if (!first_error) first_error = std::current_exception();
       }
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        const std::lock_guard lock{done_mutex};
-        done_cv.notify_all();
-      }
+      // Count down under the lock: the caller can only observe zero once
+      // the last task has released done_mutex, so it never returns (and
+      // destroys the mutex, condition variable and counter on its stack)
+      // while a task still touches them.
+      const std::lock_guard lock{done_mutex};
+      if (--remaining == 0) done_cv.notify_all();
     });
   }
 
   std::unique_lock lock{done_mutex};
-  done_cv.wait(lock, [&] {
-    return remaining.load(std::memory_order_acquire) == 0;
-  });
+  done_cv.wait(lock, [&] { return remaining == 0; });
   if (first_error) std::rethrow_exception(first_error);
 }
 

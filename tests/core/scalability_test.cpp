@@ -4,7 +4,9 @@
 
 #include <set>
 #include <stdexcept>
+#include <utility>
 
+#include "common/golden.hpp"
 #include "glove/synth/generator.hpp"
 
 namespace glove::core {
@@ -154,6 +156,40 @@ TEST(ChunkedGlove, RejectsBadConfig) {
   chunked.chunk_size = 3;
   EXPECT_THROW((void)anonymize_chunked(data, chunked),
                std::invalid_argument);
+}
+
+TEST(PrunedGlove, MovedInputMatchesCopiedInputByteForByte) {
+  // The rvalue overload adopts the input fingerprints as its node store
+  // (and frees merged-away nodes early); bytes and every counter must
+  // equal the copying overload, for both leftover policies.
+  synth::SynthConfig config = synth::civ_like(60, 53);
+  config.days = 2.0;
+  const cdr::FingerprintDataset data = synth::generate_dataset(config);
+  for (const LeftoverPolicy policy :
+       {LeftoverPolicy::kMergeIntoNearest, LeftoverPolicy::kSuppress}) {
+    GloveConfig glove;
+    glove.k = 3;
+    glove.leftover_policy = policy;
+    const GloveResult copied = anonymize_pruned(data, glove);
+    cdr::FingerprintDataset input = data;
+    const GloveResult moved = anonymize_pruned(std::move(input), glove);
+    EXPECT_EQ(test::dataset_to_csv(moved.anonymized),
+              test::dataset_to_csv(copied.anonymized));
+    EXPECT_EQ(moved.anonymized.name(), copied.anonymized.name());
+    EXPECT_EQ(moved.stats.input_users, copied.stats.input_users);
+    EXPECT_EQ(moved.stats.input_samples, copied.stats.input_samples);
+    EXPECT_EQ(moved.stats.output_groups, copied.stats.output_groups);
+    EXPECT_EQ(moved.stats.output_samples, copied.stats.output_samples);
+    EXPECT_EQ(moved.stats.merges, copied.stats.merges);
+    EXPECT_EQ(moved.stats.deleted_samples, copied.stats.deleted_samples);
+    EXPECT_EQ(moved.stats.discarded_fingerprints,
+              copied.stats.discarded_fingerprints);
+    EXPECT_EQ(moved.stats.stretch_evaluations,
+              copied.stats.stretch_evaluations);
+    // Pruning stays exact: the all-exact run publishes the same bytes.
+    EXPECT_EQ(test::dataset_to_csv(anonymize(data, glove, {}).anonymized),
+              test::dataset_to_csv(copied.anonymized));
+  }
 }
 
 }  // namespace

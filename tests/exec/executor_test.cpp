@@ -103,6 +103,20 @@ std::size_t live_child_processes() {
   return count;
 }
 
+std::uint64_t obs_counter(const RunReport& report, const std::string& name) {
+  for (const auto& [key, value] : report.obs_counters) {
+    if (key == name) return value;
+  }
+  return 0;
+}
+
+std::uint64_t metric_count(const RunReport& report, const std::string& name) {
+  for (const auto& [key, value] : report.extra_metrics) {
+    if (key == name) return static_cast<std::uint64_t>(value);
+  }
+  return 0;
+}
+
 TEST(ShardExecutor, ProcessMatchesInProcessAcrossWorkersAndFormats) {
   const test::TempDir dir;
   const cdr::FingerprintDataset data = test::small_synth_dataset(80);
@@ -128,7 +142,8 @@ TEST(ShardExecutor, ProcessMatchesInProcessAcrossWorkersAndFormats) {
       EXPECT_EQ(report.exec_kind, "process") << label;
       EXPECT_EQ(report.exec_workers, workers) << label;
       // Deterministic round-robin accounting: every job, fingerprint and
-      // group is attributed to exactly one worker.
+      // group is attributed to exactly one worker.  Jobs are the shards
+      // plus the halo-reconcile chunks, which run on the same workers.
       ASSERT_EQ(report.exec_worker_stats.size(), workers) << label;
       std::uint64_t fingerprints = 0;
       std::uint64_t groups = 0;
@@ -142,8 +157,14 @@ TEST(ShardExecutor, ProcessMatchesInProcessAcrossWorkersAndFormats) {
         shard_inputs += row.input_fingerprints;
         shard_groups += row.output_groups;
       }
-      EXPECT_EQ(fingerprints, shard_inputs) << label;
-      EXPECT_EQ(groups, shard_groups) << label;
+      // Every deferred fingerprint is a reconcile chunk member here: the
+      // raw input holds no >= k groups to pass through, and a reconcile
+      // that produced groups planned chunks, hence no sub-k tail.
+      const auto deferred = metric_count(report, "deferred_fingerprints");
+      const auto reconciled = metric_count(report, "reconciled_groups");
+      ASSERT_GT(reconciled, 0u) << label;
+      EXPECT_EQ(fingerprints, shard_inputs + deferred) << label;
+      EXPECT_EQ(groups, shard_groups + reconciled) << label;
     }
   }
   EXPECT_EQ(live_child_processes(), 0u);
@@ -181,19 +202,14 @@ TEST(ShardExecutor, ProcessObsCountersFoldIntoTheCoordinatorReport) {
                    csv, &in_proc);
   (void)run_to_csv(engine, sharded_config(shard::ExecutorKind::kProcess, 2),
                    csv, &proc);
-  const auto counter = [](const RunReport& report, const std::string& name) {
-    for (const auto& [key, value] : report.obs_counters) {
-      if (key == name) return value;
-    }
-    return std::uint64_t{0};
-  };
   for (const char* name :
-       {"core.heap.seeded", "core.heap.popped", "stream.shards_run"}) {
-    EXPECT_GT(counter(proc, name), 0u) << name;
-    EXPECT_EQ(counter(proc, name), counter(in_proc, name)) << name;
+       {"core.heap.seeded", "core.heap.popped", "stream.shards_run",
+        "stream.reconcile_chunks"}) {
+    EXPECT_GT(obs_counter(proc, name), 0u) << name;
+    EXPECT_EQ(obs_counter(proc, name), obs_counter(in_proc, name)) << name;
   }
-  EXPECT_GT(counter(proc, "exec.workers_spawned"), 0u);
-  EXPECT_GT(counter(proc, "exec.jobs_dispatched"), 0u);
+  EXPECT_GT(obs_counter(proc, "exec.workers_spawned"), 0u);
+  EXPECT_GT(obs_counter(proc, "exec.jobs_dispatched"), 0u);
 }
 
 TEST(ShardExecutor, WorkerCrashSurfacesTypedErrorWithStderrTail) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -120,6 +121,52 @@ TEST(ObsSpan, RenderedTracePassesCheckTracePy) {
   EXPECT_EQ(std::system(command.c_str()), 0)
       << "check_trace.py rejected the rendered document:\n"
       << doc;
+}
+
+TEST(ObsSpan, CheckTracePyMinThreadsNeedsOverlappingSpans) {
+  if (std::system("python3 -c 'pass' > /dev/null 2>&1") != 0) {
+    GTEST_SKIP() << "python3 not available";
+  }
+  const test::TempDir dir;
+  const std::string path = dir.file("trace.json");
+  const auto min_threads_check = [&](const std::string& doc) {
+    {
+      std::ofstream out{path};
+      out << doc;
+    }
+    std::string command = std::string{"python3 "} + GLOVE_CHECK_TRACE;
+    command += " " + path;
+    command += " --min-threads test.span.parallel=2 > /dev/null 2>&1";
+    return std::system(command.c_str());
+  };
+  // Each thread holds its span open until the other one has entered
+  // its own, so the two spans overlap by construction.
+  std::atomic<int> inside{0};
+  const auto body = [&](bool wait_for_peer) {
+    GLOVE_SPAN("test.span.parallel");
+    inside.fetch_add(1);
+    while (wait_for_peer && inside.load() < 2) std::this_thread::yield();
+  };
+
+  start_tracing();
+  {
+    std::thread a{body, true};
+    std::thread b{body, true};
+    a.join();
+    b.join();
+  }
+  EXPECT_EQ(min_threads_check(stop_tracing_and_render()), 0);
+
+  // The same span on two threads, one after the other: two threads, but
+  // never at once.
+  start_tracing();
+  {
+    std::thread a{body, false};
+    a.join();
+    std::thread b{body, false};
+    b.join();
+  }
+  EXPECT_NE(min_threads_check(stop_tracing_and_render()), 0);
 }
 
 }  // namespace

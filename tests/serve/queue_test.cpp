@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <thread>
 #include <vector>
@@ -44,31 +45,40 @@ TEST(EventQueue, PopBatchRespectsMax) {
 }
 
 TEST(EventQueue, BackpressureBlocksProducerUntilConsumed) {
-  // Capacity 1: every push after the first must wait for a pop.  The
-  // consumer drains on a second thread; all events arrive, in order.
+  // Capacity 1, filled before the producer starts: with nothing popping
+  // yet, the producer's first push must block — no scheduler interleaving
+  // is assumed.  Only the consumer, started once the producer is seen
+  // blocked, releases it; all events arrive, in order.
   EventQueue queue{1};
   constexpr int kEvents = 200;
-  std::vector<cdr::CdrEvent> received;
-  std::thread consumer{[&] {
-    std::vector<cdr::CdrEvent> batch;
-    while (!queue.drained()) {
-      batch.clear();
-      if (queue.pop_batch(batch, 16, 50) == 0) continue;
-      received.insert(received.end(), batch.begin(), batch.end());
+  ASSERT_TRUE(queue.push(event(0, 0)));
+  std::atomic<int> pushed{1};
+  std::thread producer{[&] {
+    for (int i = 1; i < kEvents; ++i) {
+      if (!queue.push(event(static_cast<cdr::UserId>(i), i))) return;
+      pushed.fetch_add(1);
     }
+    queue.close();
   }};
-  for (int i = 0; i < kEvents; ++i) {
-    ASSERT_TRUE(queue.push(event(static_cast<cdr::UserId>(i), i)));
+  while (queue.block_waits() == 0) std::this_thread::yield();
+  // Blocked, not merely slow: its push cannot return before a pop.
+  EXPECT_EQ(pushed.load(), 1);
+  EXPECT_EQ(queue.depth(), 1u);
+
+  std::vector<cdr::CdrEvent> received;
+  std::vector<cdr::CdrEvent> batch;
+  while (!queue.drained()) {
+    batch.clear();
+    if (queue.pop_batch(batch, 16, 50) == 0) continue;
+    received.insert(received.end(), batch.begin(), batch.end());
   }
-  queue.close();
-  consumer.join();
+  producer.join();
   ASSERT_EQ(received.size(), static_cast<std::size_t>(kEvents));
   for (int i = 0; i < kEvents; ++i) {
     EXPECT_EQ(received[static_cast<std::size_t>(i)].user,
               static_cast<cdr::UserId>(i));
   }
-  // With capacity 1 and 200 events the producer must have hit a full
-  // queue at least once (the consumer cannot outrun every push).
+  EXPECT_EQ(pushed.load(), kEvents);
   EXPECT_GT(queue.block_waits(), 0u);
 }
 

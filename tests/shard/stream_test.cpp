@@ -7,17 +7,24 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <optional>
+#include <regex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/fixtures.hpp"
 #include "common/golden.hpp"
 #include "glove/cdr/io.hpp"
+#include "glove/obs/metrics.hpp"
+#include "glove/obs/span.hpp"
 #include "glove/shard/shard.hpp"
 
 namespace glove::shard {
@@ -228,6 +235,120 @@ TEST(ShardStream, BorderedReconcileBudgetsAreByteIdenticalToInMemory) {
       EXPECT_GE(result.stats.reconcile_passes, 1u);
     }
   }
+}
+
+/// One stream.reconcile.chunk span of a rendered trace.
+struct ChunkSpan {
+  std::uint64_t tid = 0;
+  double begin_us = 0.0;
+  double end_us = 0.0;
+};
+
+/// The stream.reconcile.chunk spans of a rendered trace document (the
+/// exporter's fixed key order: name, cat, ph, ts, pid, tid).
+std::vector<ChunkSpan> reconcile_chunk_spans(const std::string& doc) {
+  const std::regex event{
+      R"re("name": "stream\.reconcile\.chunk","cat": "glove",)re"
+      R"re("ph": "([BE])","ts": ([^,]+),"pid": \d+,"tid": (\d+))re"};
+  std::vector<ChunkSpan> spans;
+  std::map<std::uint64_t, std::size_t> open;  // tid -> index into spans
+  for (auto it = std::sregex_iterator(doc.begin(), doc.end(), event);
+       it != std::sregex_iterator(); ++it) {
+    const std::uint64_t tid = std::stoull((*it)[3].str());
+    const double ts = std::stod((*it)[2].str());
+    if ((*it)[1].str() == "B") {
+      open[tid] = spans.size();
+      spans.push_back(ChunkSpan{tid, ts, ts});
+    } else {
+      spans[open.at(tid)].end_us = ts;
+    }
+  }
+  return spans;
+}
+
+std::uint64_t counter_delta(const obs::MetricsSnapshot& before,
+                            const std::string& name) {
+  const auto delta = obs::counter_delta(before, obs::snapshot_metrics());
+  for (const auto& [key, value] : delta) {
+    if (key == name) return value;
+  }
+  return 0;
+}
+
+TEST(ShardStream, ReconcileChunksRunConcurrentlyWithIdenticalBytes) {
+  const cdr::FingerprintDataset data = test::small_synth_dataset(60);
+  std::ostringstream serialized;
+  cdr::write_dataset_csv(serialized, data);
+  const auto run_csv = [&](const ShardConfig& config,
+                           StreamShardedResult* result) {
+    TextStream stream{serialized.str()};
+    cdr::FingerprintDataset out{run_stream(stream, config, result)};
+    out.set_name(sharded_output_name(data.name(), config.glove.k));
+    return test::dataset_to_csv(out);
+  };
+
+  // The golden's config plans a single reconcile chunk; with the whole
+  // phase in one pass it must come out of every worker count unchanged.
+  ShardConfig golden_config = small_config();
+  golden_config.reconcile_chunk_users = std::numeric_limits<std::size_t>::max();
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    golden_config.workers = workers;
+    test::expect_matches_golden("sharded_synth60_k2.csv",
+                                run_csv(golden_config, nullptr));
+  }
+
+  // A wide halo over small shards defers enough sub-k fingerprints for
+  // several chunks.  The strictly serial schedule — one worker, one chunk
+  // per rewound pass — is the reference; an unbounded budget puts every
+  // chunk into one pass, i.e. one concurrent executor batch.
+  ShardConfig config = small_config();
+  config.max_shard_users = 4;
+  config.halo_m = 2'000.0;
+  config.workers = 1;
+  config.reconcile_chunk_users = 1;
+  const std::string reference = run_csv(config, nullptr);
+  config.reconcile_chunk_users = std::numeric_limits<std::size_t>::max();
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    config.workers = workers;
+    const obs::MetricsSnapshot before = obs::snapshot_metrics();
+    StreamShardedResult result;
+    EXPECT_EQ(run_csv(config, &result), reference) << "workers=" << workers;
+    EXPECT_EQ(result.stats.reconcile_passes, 1u) << "workers=" << workers;
+    EXPECT_GE(counter_delta(before, "stream.reconcile_chunks"), 3u)
+        << "workers=" << workers;
+    EXPECT_EQ(result.exec_workers, workers);
+  }
+
+  // Concurrency on the traced 4-worker run: the first progress report
+  // from inside a reconcile chunk holds that chunk open for a while, so
+  // another worker starts the next chunk meanwhile — two
+  // stream.reconcile.chunk spans on different threads must overlap.
+  const std::uint64_t kept =
+      data.size() - anonymize_sharded(data, config).stats.deferred_fingerprints;
+  std::atomic<bool> held{false};
+  util::RunHooks hooks;
+  hooks.progress = [&](std::uint64_t done, std::uint64_t) {
+    if (done > kept && !held.exchange(true)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+  };
+  const GroupEmitter discard = [](cdr::Fingerprint&&) {};
+  TextStream stream{serialized.str()};
+  obs::start_tracing();
+  (void)anonymize_sharded_stream(stream, config, discard, hooks);
+  const std::vector<ChunkSpan> spans =
+      reconcile_chunk_spans(obs::stop_tracing_and_render());
+  ASSERT_GE(spans.size(), 3u);
+  const auto overlap = [](const ChunkSpan& a, const ChunkSpan& b) {
+    return a.tid != b.tid && a.begin_us < b.end_us && b.begin_us < a.end_us;
+  };
+  bool overlapped = false;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    for (std::size_t j = i + 1; j < spans.size(); ++j) {
+      overlapped = overlapped || overlap(spans[i], spans[j]);
+    }
+  }
+  EXPECT_TRUE(overlapped) << "reconcile chunks ran one at a time";
 }
 
 TEST(ShardStream, ReconcilePassAccountingAddsUp) {

@@ -16,13 +16,18 @@ Reads the trace file produced by the obs span recorder and asserts:
     end is at or after its begin;
   * each `--require NAME` phase appears at least once (use it to pin
     the data-plane spans a streaming run must produce, e.g.
-    stream.pass1.scan / stream.shard / stream.reconcile.chunk).
+    stream.pass1.scan / stream.shard / stream.reconcile.chunk);
+  * each `--min-threads NAME=N` span runs on at least N threads at once:
+    at some instant N spans named NAME are open on N distinct threads.
+    This is a parallelism tripwire — e.g. `stream.reconcile.chunk=2`
+    fails a run whose halo-reconcile chunks ran one at a time.
 
 Used by the CI "streaming under capped address space" steps together
 with check_streaming_report.py; this script checks the trace half.
 
 Usage:
   python3 tools/check_trace.py TRACE.json [--require stream.shard ...]
+      [--min-threads stream.reconcile.chunk=2 ...]
 
 Exit codes: 0 ok, 1 claim violated, 2 usage error.
 """
@@ -41,6 +46,19 @@ def fail(message: str) -> int:
     return 1
 
 
+def peak_threads(intervals) -> int:
+    """Most distinct threads with an interval open at one instant; an
+    interval ending exactly where another begins does not overlap it."""
+    edges = sorted([(begin, 1, tid) for tid, begin, _ in intervals] +
+                   [(end, -1, tid) for tid, _, end in intervals])
+    open_by_tid = {}
+    peak = 0
+    for _, delta, tid in edges:
+        open_by_tid[tid] = open_by_tid.get(tid, 0) + delta
+        peak = max(peak, sum(1 for n in open_by_tid.values() if n > 0))
+    return peak
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace")
@@ -48,7 +66,20 @@ def main() -> int:
                         metavar="NAME",
                         help="span name that must occur at least once "
                              "(repeatable)")
+    parser.add_argument("--min-threads", action="append", default=[],
+                        metavar="NAME=N",
+                        help="span NAME must be open on at least N threads "
+                             "at once somewhere in the trace (repeatable)")
     args = parser.parse_args()
+
+    min_threads = {}
+    for spec in args.min_threads:
+        name, _, count = spec.partition("=")
+        if not NAME_RE.match(name) or not count.isdigit() or int(count) < 1:
+            print(f"check_trace: bad --min-threads {spec!r} "
+                  f"(want NAME=N, N >= 1)", file=sys.stderr)
+            return 2
+        min_threads[name] = int(count)
 
     try:
         with open(args.trace, "r", encoding="utf-8") as handle:
@@ -70,6 +101,7 @@ def main() -> int:
     last_ts = {}     # tid -> most recent timestamp
     begin_ts = {}    # tid -> [ts of open spans]
     seen = set()
+    intervals = {name: [] for name in min_threads}  # [(tid, begin, end)]
     for index, event in enumerate(events):
         where = f"traceEvents[{index}]"
         if not isinstance(event, dict):
@@ -105,8 +137,11 @@ def main() -> int:
                 return fail(f"{where} ends '{name}' but '{stack[-1]}' "
                             f"is open on tid {tid}")
             stack.pop()
-            if ts < opened.pop():
+            begin = opened.pop()
+            if ts < begin:
                 return fail(f"{where} '{name}' ends before it begins")
+            if name in intervals:
+                intervals[name].append((tid, begin, ts))
 
     for tid, stack in sorted(stacks.items()):
         if stack:
@@ -116,6 +151,12 @@ def main() -> int:
     if missing:
         return fail(f"required spans never occur: {missing} "
                     f"(saw {sorted(seen)})")
+
+    for name, wanted in sorted(min_threads.items()):
+        peak = peak_threads(intervals[name])
+        if peak < wanted:
+            return fail(f"span '{name}' ran on at most {peak} thread(s) at "
+                        f"once, --min-threads wants {wanted}")
 
     spans = sum(1 for e in events if e["ph"] == "B")
     print(f"check_trace: OK: {spans} spans across "
