@@ -47,17 +47,10 @@ struct StrategyOutcome {
   std::vector<std::pair<std::string, double>> extra_metrics;
   /// Per-shard rows for strategies that decompose the run (sharded);
   /// leave empty otherwise.
-  std::vector<ShardTimingRow> shard_timings;
+  std::vector<shard::ShardTiming> shard_timings;
   /// Fingerprints read from the source on each pass over it (streaming
   /// runs; the Engine records {dataset size} on the collect path).
   std::vector<std::uint64_t> pass_fingerprints;
-  /// Shard execution backend the run used ("inprocess", "process"; empty
-  /// for strategies without the executor seam) and its worker count.
-  std::string exec_kind;
-  std::uint64_t exec_workers = 0;
-  /// Per-worker accounting of the process executor (empty otherwise);
-  /// serialized as the report's "exec.per_worker" array.
-  std::vector<ExecWorkerRow> exec_worker_stats;
 };
 
 class Anonymizer {

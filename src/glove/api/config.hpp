@@ -80,18 +80,6 @@ struct RunConfig {
     /// shard batch budget).  Does not change the output bytes — only how
     /// many rewound passes the reconciliation spends.
     std::size_t reconcile_chunk_users = 0;
-    /// Shard execution backend: kInProcess runs shards on the scheduler's
-    /// thread pool (the default); kProcess forks glove_shard_worker
-    /// daemons that re-read their shard slices from the file backing the
-    /// source (streaming file runs only).  The output is byte-identical
-    /// across backends.
-    shard::ExecutorKind executor = shard::ExecutorKind::kInProcess;
-    /// Worker count for the process executor; 0 = shared-pool default
-    /// (GLOVE_THREADS when set, else hardware concurrency).
-    std::size_t exec_workers = 0;
-    /// Explicit glove_shard_worker binary path; empty = discover via
-    /// $GLOVE_SHARD_WORKER_BIN, then next to the running executable.
-    std::string worker_binary;
   } sharded;
 
   struct IncrementalSection {

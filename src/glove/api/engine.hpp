@@ -19,7 +19,8 @@
 // drives every registered Anonymizer behind a uniform validated config,
 // progress callback, cooperative cancellation and a serializable run
 // report.  The pre-Engine free functions (core::anonymize & friends)
-// remain as deprecated shims.
+// stay available for direct library use: each has one definition, and
+// its trailing `hooks` parameter defaults to none.
 
 #ifndef GLOVE_API_ENGINE_HPP
 #define GLOVE_API_ENGINE_HPP

@@ -33,14 +33,6 @@ std::string_view border_policy_name(shard::BorderPolicy policy) {
   return "halo";
 }
 
-std::string_view executor_kind_echo(shard::ExecutorKind kind) {
-  switch (kind) {
-    case shard::ExecutorKind::kInProcess: return "inprocess";
-    case shard::ExecutorKind::kProcess: return "process";
-  }
-  return "inprocess";
-}
-
 }  // namespace
 
 double find_metric(const RunReport& report, std::string_view name,
@@ -83,8 +75,6 @@ ConfigEcho echo_config(const RunConfig& config) {
   echo.sharded_border = border_policy_name(config.sharded.border);
   echo.sharded_halo_m = config.sharded.halo_m;
   echo.sharded_reconcile_chunk_users = config.sharded.reconcile_chunk_users;
-  echo.sharded_executor = executor_kind_echo(config.sharded.executor);
-  echo.sharded_exec_workers = config.sharded.exec_workers;
   echo.w4m_delta_m = config.w4m.delta_m;
   echo.w4m_trash_fraction = config.w4m.trash_fraction;
   echo.w4m_chunk_size = config.w4m.chunk_size;
@@ -128,10 +118,7 @@ stats::Json report_json(const RunReport& report) {
                .set("halo_m", echo.sharded_halo_m)
                .set("reconcile_chunk_users",
                     static_cast<std::uint64_t>(
-                        echo.sharded_reconcile_chunk_users))
-               .set("executor", echo.sharded_executor)
-               .set("exec_workers",
-                    static_cast<std::uint64_t>(echo.sharded_exec_workers)))
+                        echo.sharded_reconcile_chunk_users)))
       .set("w4m", stats::Json::object()
                       .set("delta_m", echo.w4m_delta_m)
                       .set("trash_fraction", echo.w4m_trash_fraction)
@@ -189,7 +176,7 @@ stats::Json report_json(const RunReport& report) {
       .set("peak_rss_bytes", report.peak_rss_bytes);
 
   stats::Json doc = stats::Json::object();
-  doc.set("schema", "glove.run_report.v7")
+  doc.set("schema", "glove.run_report.v8")
       .set("strategy", report.strategy)
       .set("dataset", report.dataset_name)
       .set("config", std::move(config))
@@ -200,32 +187,19 @@ stats::Json report_json(const RunReport& report) {
       .set("obs", std::move(obs));
   if (!report.shard_timings.empty()) {
     stats::Json shards = stats::Json::array();
-    for (const ShardTimingRow& row : report.shard_timings) {
+    for (const shard::ShardTiming& row : report.shard_timings) {
       shards.push(stats::Json::object()
-                      .set("shard", row.shard)
-                      .set("input_fingerprints", row.input_fingerprints)
-                      .set("deferred", row.deferred)
-                      .set("output_groups", row.output_groups)
+                      .set("shard", static_cast<std::uint64_t>(row.shard))
+                      .set("input_fingerprints",
+                           static_cast<std::uint64_t>(row.input_fingerprints))
+                      .set("deferred", static_cast<std::uint64_t>(row.deferred))
+                      .set("output_groups",
+                           static_cast<std::uint64_t>(row.output_groups))
                       .set("init_seconds", row.init_seconds)
                       .set("merge_seconds", row.merge_seconds)
                       .set("total_seconds", row.total_seconds));
     }
     doc.set("shards", std::move(shards));
-  }
-  if (!report.exec_kind.empty()) {
-    stats::Json per_worker = stats::Json::array();
-    for (const ExecWorkerRow& row : report.exec_worker_stats) {
-      per_worker.push(stats::Json::object()
-                          .set("worker", row.worker)
-                          .set("jobs", row.jobs)
-                          .set("fingerprints", row.fingerprints)
-                          .set("groups", row.groups)
-                          .set("busy_seconds", row.busy_seconds));
-    }
-    doc.set("exec", stats::Json::object()
-                        .set("kind", report.exec_kind)
-                        .set("workers", report.exec_workers)
-                        .set("per_worker", std::move(per_worker)));
   }
   return doc;
 }

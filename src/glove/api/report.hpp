@@ -13,6 +13,7 @@
 
 #include "glove/api/config.hpp"
 #include "glove/cdr/dataset.hpp"
+#include "glove/shard/runner.hpp"
 #include "glove/stats/json.hpp"
 
 namespace glove::api {
@@ -38,31 +39,6 @@ struct RunTimings {
   double total_seconds = 0.0;  ///< wall clock of Engine::run
 };
 
-/// Per-shard accounting of the `sharded` strategy, serialized as the
-/// report's "shards" array (absent for single-matrix strategies).
-struct ShardTimingRow {
-  std::uint64_t shard = 0;
-  std::uint64_t input_fingerprints = 0;  ///< anonymized inside the shard
-  std::uint64_t deferred = 0;            ///< handed to reconciliation
-  std::uint64_t output_groups = 0;
-  double init_seconds = 0.0;
-  double merge_seconds = 0.0;
-  double total_seconds = 0.0;
-};
-
-/// Per-worker accounting of the shard execution backend, serialized as
-/// the report's "exec.per_worker" array (sharded strategy only; the
-/// in-process executor reports no per-worker rows because its thread
-/// pool's work stealing is timing-dependent, while the process executor's
-/// round-robin assignment is deterministic).
-struct ExecWorkerRow {
-  std::uint64_t worker = 0;        ///< 0-based worker index
-  std::uint64_t jobs = 0;          ///< shard jobs dispatched to it
-  std::uint64_t fingerprints = 0;  ///< fingerprints across those jobs
-  std::uint64_t groups = 0;        ///< anonymized groups it returned
-  double busy_seconds = 0.0;       ///< summed per-job wall clock
-};
-
 /// Scalar echo of the validated configuration the run actually used.
 struct ConfigEcho {
   std::string strategy;
@@ -83,8 +59,6 @@ struct ConfigEcho {
   std::string sharded_border;
   double sharded_halo_m = 0.0;
   std::size_t sharded_reconcile_chunk_users = 0;
-  std::string sharded_executor;
-  std::size_t sharded_exec_workers = 0;
   double w4m_delta_m = 0.0;
   double w4m_trash_fraction = 0.0;
   std::size_t w4m_chunk_size = 0;
@@ -106,16 +80,9 @@ struct RunReport {
   /// Strategy-specific scalar metrics (e.g. W4M mean errors, incremental
   /// join counts), serialized under "metrics" in declaration order.
   std::vector<std::pair<std::string, double>> extra_metrics;
-  /// Per-shard timings (sharded strategy only; empty otherwise).
-  /// Serialized as "shards" when non-empty.
-  std::vector<ShardTimingRow> shard_timings;
-  /// Shard execution backend the run used ("inprocess", "process"; empty
-  /// for strategies without the executor seam), its resolved worker
-  /// count, and per-worker accounting when the backend reports it.
-  /// Serialized as "exec" when exec_kind is non-empty.
-  std::string exec_kind;
-  std::uint64_t exec_workers = 0;
-  std::vector<ExecWorkerRow> exec_worker_stats;
+  /// Per-shard sizes and timings (sharded strategy only; empty
+  /// otherwise).  Serialized as the "shards" array when non-empty.
+  std::vector<shard::ShardTiming> shard_timings;
   /// Data-plane echo of the run boundary: the source/sink transports
   /// ("memory", "csv-file"), how many fingerprints each pass over the
   /// source streamed (one entry for collect-then-run strategies and for

@@ -106,10 +106,9 @@ class DatasetSource {
     return nullptr;
   }
 
-  /// Path of the file backing this source, when there is one.  The
-  /// process shard executor hands it to its worker daemons so each can
-  /// re-read its shard slice through its own source; in-memory sources
-  /// return nullopt and only support the in-process executor.
+  /// Path of the file backing this source, when there is one; in-memory
+  /// sources return nullopt.  Informational only: the sharded backend
+  /// reads every pass through next()/fetch(), never by path.
   [[nodiscard]] virtual std::optional<std::string> file_path() const {
     return std::nullopt;
   }

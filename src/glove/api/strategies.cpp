@@ -216,12 +216,6 @@ class ShardedStrategy final : public Anonymizer {
                    "sharded.workers must be at most 4096 (0 = hardware "
                    "concurrency)"};
     }
-    // Same sanity bound for the process executor's daemon count.
-    if (config.sharded.exec_workers > 4'096) {
-      return Error{ErrorCode::kInvalidConfig,
-                   "sharded.exec_workers must be at most 4096 (0 = hardware "
-                   "concurrency)"};
-    }
     return std::nullopt;
   }
   bool supports_streaming() const noexcept override { return true; }
@@ -232,9 +226,7 @@ class ShardedStrategy final : public Anonymizer {
     shard::ShardedResult result = shard::anonymize_sharded(
         data, to_shard_config(config), context.hooks);
     StrategyOutcome outcome =
-        outcome_from_stats(result.stats, result.shard_timings);
-    attach_exec(outcome, std::move(result.exec_kind), result.exec_workers,
-                result.exec_worker_stats);
+        outcome_from_stats(result.stats, std::move(result.shard_timings));
     outcome.anonymized = std::move(result.anonymized);
     return outcome;
   }
@@ -247,49 +239,18 @@ class ShardedStrategy final : public Anonymizer {
     // batches materialized on later passes, groups pushed to the sink as
     // shards finish.
     sink.begin(shard::sharded_output_name(source.name(), config.k));
-    SourceStream stream{source};
     shard::StreamShardedResult result = shard::anonymize_sharded_stream(
-        stream, to_shard_config(config),
+        source, to_shard_config(config),
         [&sink](cdr::Fingerprint&& group) { sink.write(std::move(group)); },
         context.hooks);
     sink.finish();
     StrategyOutcome outcome =
-        outcome_from_stats(result.stats, result.shard_timings);
-    attach_exec(outcome, std::move(result.exec_kind), result.exec_workers,
-                result.exec_worker_stats);
+        outcome_from_stats(result.stats, std::move(result.shard_timings));
     outcome.pass_fingerprints = std::move(result.pass_fingerprints);
     return outcome;
   }
 
  private:
-  /// Adapts the api-level source to the shard subsystem's stream concept
-  /// (the shard layer stays independent of the api layer).
-  class SourceStream final : public shard::FingerprintStream {
-   public:
-    explicit SourceStream(DatasetSource& source) noexcept : source_{source} {}
-    bool next(cdr::Fingerprint& fingerprint) override {
-      return source_.next(fingerprint);
-    }
-    void rewind() override { source_.rewind(); }
-    const cdr::FingerprintDataset* materialized() const noexcept override {
-      return source_.materialized();
-    }
-    bool summaries(std::vector<cdr::FingerprintSummary>& out) override {
-      return source_.summaries(out);
-    }
-    std::optional<std::uint64_t> fetch(
-        const std::unordered_map<std::uint32_t, std::uint32_t>& slot_of_id,
-        std::vector<cdr::Fingerprint>& store) override {
-      return source_.fetch(slot_of_id, store);
-    }
-    std::optional<std::string> file_path() const override {
-      return source_.file_path();
-    }
-
-   private:
-    DatasetSource& source_;
-  };
-
   static shard::ShardConfig to_shard_config(const RunConfig& config) {
     shard::ShardConfig sharded;
     sharded.glove = to_glove_config(config);
@@ -299,33 +260,12 @@ class ShardedStrategy final : public Anonymizer {
     sharded.border = config.sharded.border;
     sharded.halo_m = config.sharded.halo_m;
     sharded.reconcile_chunk_users = config.sharded.reconcile_chunk_users;
-    sharded.executor = config.sharded.executor;
-    sharded.exec_workers = config.sharded.exec_workers;
-    sharded.worker_binary = config.sharded.worker_binary;
     return sharded;
-  }
-
-  static void attach_exec(StrategyOutcome& outcome, std::string exec_kind,
-                          std::uint64_t exec_workers,
-                          const std::vector<shard::exec::ExecWorkerStats>&
-                              worker_stats) {
-    outcome.exec_kind = std::move(exec_kind);
-    outcome.exec_workers = exec_workers;
-    outcome.exec_worker_stats.reserve(worker_stats.size());
-    for (const shard::exec::ExecWorkerStats& w : worker_stats) {
-      ExecWorkerRow row;
-      row.worker = w.worker;
-      row.jobs = w.jobs;
-      row.fingerprints = w.fingerprints;
-      row.groups = w.groups;
-      row.busy_seconds = w.busy_seconds;
-      outcome.exec_worker_stats.push_back(row);
-    }
   }
 
   static StrategyOutcome outcome_from_stats(
       const shard::ShardedStats& stats,
-      const std::vector<shard::ShardTiming>& timings) {
+      std::vector<shard::ShardTiming> timings) {
     StrategyOutcome outcome;
     outcome.counters = from_glove_stats(stats.glove);
     outcome.init_seconds = stats.glove.init_seconds;
@@ -341,18 +281,7 @@ class ShardedStrategy final : public Anonymizer {
         {"tile_size_m", stats.tile_size_m},
         {"plan_seconds", stats.plan_seconds},
         {"reconcile_seconds", stats.reconcile_seconds}};
-    outcome.shard_timings.reserve(timings.size());
-    for (const shard::ShardTiming& t : timings) {
-      ShardTimingRow row;
-      row.shard = t.shard;
-      row.input_fingerprints = t.input_fingerprints;
-      row.deferred = t.deferred;
-      row.output_groups = t.output_groups;
-      row.init_seconds = t.init_seconds;
-      row.merge_seconds = t.merge_seconds;
-      row.total_seconds = t.total_seconds;
-      outcome.shard_timings.push_back(row);
-    }
+    outcome.shard_timings = std::move(timings);
     return outcome;
   }
 };

@@ -10,11 +10,6 @@
 namespace glove::core {
 
 std::vector<KGapEntry> k_gaps(const cdr::FingerprintDataset& data,
-                              std::uint32_t k, const StretchLimits& limits) {
-  return k_gaps(data, k, limits, {});
-}
-
-std::vector<KGapEntry> k_gaps(const cdr::FingerprintDataset& data,
                               std::uint32_t k, const StretchLimits& limits,
                               const util::RunHooks& hooks) {
   if (k < 2) throw std::invalid_argument{"k-gap requires k >= 2"};

@@ -25,19 +25,14 @@ struct KGapEntry {
 /// fingerprint stretch effort to the k-1 nearest other fingerprints.
 /// Work is parallelized across users on the shared thread pool.
 /// Requires k >= 2 and data.size() >= k; throws std::invalid_argument
-/// otherwise.
-[[nodiscard]] std::vector<KGapEntry> k_gaps(const cdr::FingerprintDataset& data,
-                                            std::uint32_t k,
-                                            const StretchLimits& limits = {});
-
-/// As above, with observability hooks threaded into the O(|M|^2) matrix
-/// build: progress units are completed rows (one per fingerprint, reported
-/// under a lock so `done` stays monotone across worker threads), and
+/// otherwise.  `hooks` are threaded into the O(|M|^2) matrix build:
+/// progress units are completed rows (one per fingerprint, reported under
+/// a lock so `done` stays monotone across worker threads), and
 /// cancellation is polled per row, aborting via util::CancelledError.
 [[nodiscard]] std::vector<KGapEntry> k_gaps(const cdr::FingerprintDataset& data,
                                             std::uint32_t k,
-                                            const StretchLimits& limits,
-                                            const util::RunHooks& hooks);
+                                            const StretchLimits& limits = {},
+                                            const util::RunHooks& hooks = {});
 
 /// Convenience: just the gap values, same order as `data`.
 [[nodiscard]] std::vector<double> k_gap_values(

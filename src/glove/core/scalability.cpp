@@ -143,11 +143,6 @@ std::vector<KGapEntry> k_gaps_pruned(const cdr::FingerprintDataset& data,
 }
 
 GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
-                              const ChunkedConfig& config) {
-  return anonymize_chunked(data, config, {});
-}
-
-GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
                               const ChunkedConfig& config,
                               const util::RunHooks& hooks) {
   if (config.chunk_size < config.glove.k) {

@@ -75,11 +75,7 @@ struct ChunkedConfig {
 /// chunks and inside each chunk's greedy loop.
 [[nodiscard]] GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
                                             const ChunkedConfig& config,
-                                            const util::RunHooks& hooks);
-
-/// Deprecated entry point: prefer glove::Engine::run (strategy "chunked").
-[[nodiscard]] GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
-                                            const ChunkedConfig& config);
+                                            const util::RunHooks& hooks = {});
 
 /// Exact GLOVE with a bounding-box-pruned initialization (implemented in
 /// glove.cpp beside the shared greedy loop): the initial candidate heap is

@@ -9,7 +9,6 @@
 #define GLOVE_SHARD_CONFIG_HPP
 
 #include <cstddef>
-#include <string>
 
 #include "glove/core/glove.hpp"
 
@@ -28,18 +27,6 @@ enum class BorderPolicy {
   /// users may pay extra stretch because cross-shard pairs are never
   /// considered.
   kNone,
-};
-
-/// Which ShardExecutor backend runs the shard batches.  Both produce
-/// byte-identical output for identical input and configuration; only the
-/// address-space layout differs.
-enum class ExecutorKind {
-  /// Today's in-process thread pool (the default).
-  kInProcess,
-  /// Coordinator/worker split: long-lived glove_shard_worker processes
-  /// re-read their shard slices from the shared source file and return
-  /// groups over a socketpair protocol.  Requires a file-backed source.
-  kProcess,
 };
 
 /// Sharded-run configuration.  `glove` carries the shared GLOVE knobs
@@ -84,20 +71,6 @@ struct ShardConfig {
   /// chunking itself is fixed by max_shard_users, so the output bytes are
   /// identical for every budget.
   std::size_t reconcile_chunk_users = 0;
-
-  /// Shard execution backend; see ExecutorKind.
-  ExecutorKind executor = ExecutorKind::kInProcess;
-
-  /// Worker-process count for ExecutorKind::kProcess; 0 follows the
-  /// shared-pool default (GLOVE_THREADS when set, else hardware
-  /// concurrency).  Ignored by the in-process executor, whose threads are
-  /// governed by `workers`.
-  std::size_t exec_workers = 0;
-
-  /// Path of the glove_shard_worker binary for ExecutorKind::kProcess.
-  /// Empty = discover: $GLOVE_SHARD_WORKER_BIN, then well-known locations
-  /// relative to the running executable.
-  std::string worker_binary;
 };
 
 }  // namespace glove::shard

@@ -19,7 +19,7 @@
 //     chunk-resumable form the streaming pipeline drives: the schedule is
 //     computed from per-leftover bounding geometry and group sizes alone
 //     (both already resident after the pass-1 scan), then the chunks are
-//     materialized by rewound passes and run as ShardExecutor jobs (each
+//     materialized by rewound passes and run as batch jobs (each
 //     exactly what reconcile_chunk does).  Chunk membership, member order
 //     and per-chunk execution are exactly anonymize_chunked's, so the two
 //     shapes emit identical bytes.
@@ -91,7 +91,7 @@ struct ReconcilePlan {
 /// pruned-GLOVE run.  `hooks` forward into the inner run (progress in the
 /// inner run's own units; adapt before calling when a different scale is
 /// reported upstream).  The streaming pipeline runs the same GLOVE call
-/// as an executor job instead.
+/// as a job of its batch runner instead.
 void reconcile_chunk(std::vector<cdr::Fingerprint> members,
                      const ShardConfig& config, ReconcileStats& stats,
                      const std::function<void(cdr::Fingerprint&&)>& emit,

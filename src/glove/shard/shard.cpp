@@ -15,13 +15,13 @@ ShardedResult anonymize_sharded(const cdr::FingerprintDataset& data,
                                 const ShardConfig& config,
                                 const util::RunHooks& hooks) {
   // One pipeline, two front doors: wrap the in-memory dataset in a
-  // rewindable stream and collect the emitted groups.  The streaming core
-  // is the source of truth; this wrapper only restores the dataset-shaped
+  // MemorySource and collect the emitted groups.  The streaming core is
+  // the source of truth; this wrapper only restores the dataset-shaped
   // result (including its name) the legacy callers expect.
-  DatasetStream stream{data};
+  api::MemorySource source{data};
   std::vector<cdr::Fingerprint> groups;
   StreamShardedResult streamed = anonymize_sharded_stream(
-      stream, config,
+      source, config,
       [&](cdr::Fingerprint&& fp) { groups.push_back(std::move(fp)); }, hooks);
 
   ShardedResult result;
@@ -29,9 +29,6 @@ ShardedResult anonymize_sharded(const cdr::FingerprintDataset& data,
       std::move(groups), sharded_output_name(data.name(), config.glove.k)};
   result.stats = streamed.stats;
   result.shard_timings = std::move(streamed.shard_timings);
-  result.exec_kind = std::move(streamed.exec_kind);
-  result.exec_workers = streamed.exec_workers;
-  result.exec_worker_stats = std::move(streamed.exec_worker_stats);
   return result;
 }
 

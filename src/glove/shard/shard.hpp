@@ -19,7 +19,6 @@
 
 #include "glove/cdr/dataset.hpp"
 #include "glove/shard/config.hpp"
-#include "glove/shard/exec/executor.hpp"
 #include "glove/shard/planner.hpp"
 #include "glove/shard/reconcile.hpp"
 #include "glove/shard/runner.hpp"
@@ -53,11 +52,6 @@ struct ShardedResult {
   ShardedStats stats;
   /// Per-shard sizes and wall-clock, in shard order.
   std::vector<ShardTiming> shard_timings;
-  /// Executor echo (see StreamShardedResult): backend kind, resolved
-  /// worker count, and per-worker rows when the backend reports them.
-  std::string exec_kind;
-  std::uint64_t exec_workers = 0;
-  std::vector<exec::ExecWorkerStats> exec_worker_stats;
 };
 
 /// Canonical name of a sharded run's output dataset ("<base>-sharded-k<k>").

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
@@ -12,9 +12,9 @@
 #include "glove/obs/log.hpp"
 #include "glove/obs/metrics.hpp"
 #include "glove/obs/span.hpp"
-#include "glove/shard/exec/executor.hpp"
 #include "glove/shard/reconcile.hpp"
 #include "glove/util/parallel.hpp"
+#include "glove/util/thread_pool.hpp"
 
 namespace glove::shard {
 
@@ -36,7 +36,7 @@ struct StreamScan {
   std::uint64_t samples = 0;
 };
 
-StreamScan scan_stream(FingerprintStream& source,
+StreamScan scan_stream(api::DatasetSource& source,
                        const util::RunHooks& hooks) {
   StreamScan scan;
   if (std::vector<cdr::FingerprintSummary> summaries;
@@ -90,7 +90,7 @@ StreamScan scan_stream(FingerprintStream& source,
 /// dataset index appears in `slot_of_id` (into `store`, slot-addressed).
 /// Returns the number of fingerprints the pass yielded.
 std::uint64_t materialize_pass(
-    FingerprintStream& source,
+    api::DatasetSource& source,
     const std::unordered_map<std::uint32_t, std::uint32_t>& slot_of_id,
     std::vector<cdr::Fingerprint>& store, std::size_t expected,
     const util::RunHooks& hooks) {
@@ -122,9 +122,103 @@ std::uint64_t materialize_pass(
   return index;
 }
 
+/// One GLOVE job of a batch: a planned shard, or one halo-reconciliation
+/// chunk.  Both run the same pruned GLOVE over `inputs`; the kind only
+/// picks the trace span and the plane counters the job is billed to
+/// (stream.shard / stream.shards_run vs stream.reconcile.chunk).
+/// `progress`, when set, receives the job's inner GLOVE progress in that
+/// run's own units, on a pool thread.
+struct Job {
+  bool reconcile_chunk = false;
+  std::size_t index = 0;  ///< shard index, or chunk index in plan order
+  std::vector<cdr::Fingerprint> inputs;
+  util::ProgressFn progress;
+};
+
+/// What one job produced: the finalized groups, the cost counters the
+/// caller folds via GloveStats::accumulate_costs, and the timing row (the
+/// run report's per-shard row for shard jobs).
+struct JobResult {
+  ShardTiming timing;
+  std::vector<cdr::Fingerprint> groups;
+  core::GloveStats stats;
+};
+
+/// Called once per completed job, on a pool thread (the caller makes it
+/// thread-safe); drives progress reporting.
+using JobResultFn = std::function<void(const JobResult&)>;
+
+/// Threads of the pool every batch runs on: `config.workers` (0 = the
+/// shared-pool default), capped at `max_batch_jobs` — the larger of the
+/// shard and reconcile-chunk counts — so no thread is idle by
+/// construction.
+std::size_t pool_size(const ShardConfig& config, std::size_t max_batch_jobs) {
+  std::size_t requested = config.workers;
+  if (requested == 0) requested = util::ThreadPool::shared().size();
+  return std::min(std::max<std::size_t>(requested, 1),
+                  std::max<std::size_t>(max_batch_jobs, 1));
+}
+
+/// Runs one batch (a shard batch, or one reconcile pass's chunks) on
+/// `pool`, invoking `on_result` as each job completes and returning the
+/// results in job order.  Identical jobs yield identical groups whatever
+/// the pool size or scheduling.  Cancellation propagates from
+/// `hooks.cancel` as util::CancelledError.
+std::vector<JobResult> run_batch(util::ThreadPool& pool,
+                                 const core::GloveConfig& glove,
+                                 std::vector<Job> jobs,
+                                 const JobResultFn& on_result,
+                                 const util::RunHooks& hooks) {
+  // Reconcile chunks are counted where the chunks are planned, never as
+  // shards.
+  static const obs::Counter c_shards = obs::counter("stream.shards_run");
+  static const obs::Histogram h_shard_members =
+      obs::histogram("stream.shard.members");
+
+  std::vector<JobResult> results(jobs.size());
+  util::parallel_for(
+      pool, jobs.size(),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t j = begin; j < end; ++j) {
+          hooks.throw_if_cancelled();
+          Job& job = jobs[j];
+          JobResult& out = results[j];
+          const std::size_t members = job.inputs.size();
+          out.timing.shard = job.index;
+          out.timing.input_fingerprints = members;
+          if (job.inputs.empty()) continue;
+          GLOVE_SPAN_NAMED(job_span, job.reconcile_chunk
+                                         ? "stream.reconcile.chunk"
+                                         : "stream.shard");
+          job_span.arg(job.reconcile_chunk ? "chunk" : "shard", job.index);
+          job_span.arg("members", members);
+          if (!job.reconcile_chunk) {
+            c_shards.add();
+            h_shard_members.observe(members);
+          }
+          util::RunHooks inner;
+          inner.cancel = hooks.cancel;
+          inner.progress = std::move(job.progress);
+          const auto start = Clock::now();
+          core::GloveResult run = core::anonymize_pruned(
+              cdr::FingerprintDataset{std::move(job.inputs)}, glove, inner);
+          out.timing.init_seconds = run.stats.init_seconds;
+          out.timing.merge_seconds = run.stats.merge_seconds;
+          out.timing.total_seconds = seconds_since(start);
+          out.timing.output_groups = run.anonymized.size();
+          job_span.arg("groups", run.anonymized.size());
+          out.groups = std::move(run.anonymized.mutable_fingerprints());
+          out.stats = run.stats;
+          on_result(out);
+        }
+      },
+      /*min_chunk=*/1);
+  return results;
+}
+
 }  // namespace
 
-StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
+StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
                                              const ShardConfig& config,
                                              const GroupEmitter& emit,
                                              const util::RunHooks& hooks) {
@@ -144,9 +238,9 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
   hooks.throw_if_cancelled();
 
   // Deterministic plane counters (counts only — they surface in the run
-  // report's "obs" section); the per-shard counters live with the
-  // executors that run the shards, the reconcile-chunk counters here with
-  // the plan that forms the chunks.
+  // report's "obs" section); the per-shard counters live with the batch
+  // runner, the reconcile-chunk counters here with the plan that forms
+  // the chunks.
   static const obs::Counter c_batches = obs::counter("stream.shard_batches");
   static const obs::Counter c_chunks = obs::counter("stream.reconcile_chunks");
 
@@ -202,7 +296,7 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
 
   // The reconciliation is planned here, from pass-1 residue alone
   // (per-fingerprint bounds kept by the tiling, group sizes from the
-  // scan): its chunk count sizes the executor next to the shard count,
+  // scan): its chunk count sizes the pool next to the shard count,
   // and its tail decides the buffered mode below.  Leftover ids are in
   // (shard, member) order — the exact sequence the buffered path
   // materializes.
@@ -254,22 +348,16 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
     emit(std::move(fp));
   };
 
-  // --- Passes 2..: materialize and run contiguous shard batches through
-  // the configured ShardExecutor.  The batch budget caps resident
-  // fingerprints at roughly one shard per executor worker, which also
-  // keeps the workers busy.  The executor also runs the reconcile
-  // chunks, so it is sized for whichever phase has more jobs: a plan
-  // with few shards but many chunks still reconciles in parallel.
-  const std::size_t max_jobs = std::max(shard_count, rplan.chunks.size());
-  const std::unique_ptr<exec::ShardExecutor> executor =
-      exec::make_shard_executor(resolved, source.file_path(), n, max_jobs);
-  const std::size_t batch_budget = std::max<std::size_t>(
-      resolved.max_shard_users * executor->workers(), 1);
-  // Executors that re-read the source themselves (process pool) receive
-  // the member ids only; the coordinator then materializes nothing for
-  // the kept sets and the reconcile chunks (the buffered tail and the
-  // reconcile pass-throughs and tail still fetch here).
-  const bool local_inputs = !executor->reads_source();
+  // --- Passes 2..: materialize and run contiguous shard batches on the
+  // in-process pool.  The batch budget caps resident fingerprints at
+  // roughly one shard per pool worker, which also keeps the workers
+  // busy.  The pool also runs the reconcile chunks, so it is sized for
+  // whichever phase has more jobs: a plan with few shards but many
+  // chunks still reconciles in parallel.
+  util::ThreadPool pool{
+      pool_size(resolved, std::max(shard_count, rplan.chunks.size()))};
+  const std::size_t batch_budget =
+      std::max<std::size_t>(resolved.max_shard_users * pool.size(), 1);
 
   const std::uint64_t total_work = n + 1;  // +1: the final reconcile tick
   hooks.report(0, total_work);
@@ -310,14 +398,12 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
     // re-read whole, keeping only this batch's members.
     std::unordered_map<std::uint32_t, std::uint32_t> slot_of_id;
     std::vector<cdr::Fingerprint> store;
-    if (inmem == nullptr && (local_inputs || buffered)) {
+    if (inmem == nullptr) {
       slot_of_id.reserve(batch_members);
       std::uint32_t next_slot = 0;
       for (std::size_t s = first; s < last; ++s) {
-        if (local_inputs) {
-          for (const std::uint32_t id : split.kept[s]) {
-            slot_of_id[id] = next_slot++;
-          }
+        for (const std::uint32_t id : split.kept[s]) {
+          slot_of_id[id] = next_slot++;
         }
         if (buffered) {
           for (const std::uint32_t id : split.deferred[s]) {
@@ -343,36 +429,32 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
       }
     }
 
-    // Serialize the batch into shard jobs (empty kept sets run nothing
-    // and keep their zeroed timing row) and hand it to the executor;
-    // results come back in job = shard order.
-    std::vector<exec::ShardJob> jobs;
+    // Turn the batch into shard jobs (empty kept sets run nothing and
+    // keep their zeroed timing row); results come back in job = shard
+    // order.
+    std::vector<Job> jobs;
     jobs.reserve(last - first);
     for (std::size_t s = first; s < last; ++s) {
       if (split.kept[s].empty()) continue;
-      exec::ShardJob job;
-      job.shard = s;
-      job.member_ids = &split.kept[s];
-      if (local_inputs) {
-        job.inputs.reserve(split.kept[s].size());
-        for (const std::uint32_t id : split.kept[s]) {
-          job.inputs.push_back(fetch(id));
-        }
+      Job& job = jobs.emplace_back();
+      job.index = s;
+      job.inputs.reserve(split.kept[s].size());
+      for (const std::uint32_t id : split.kept[s]) {
+        job.inputs.push_back(fetch(id));
       }
-      jobs.push_back(std::move(job));
     }
     store.clear();
     store.shrink_to_fit();
 
-    const exec::ShardResultFn on_result = [&](const exec::ShardResult& r) {
+    const JobResultFn on_result = [&](const JobResult& r) {
       const std::lock_guard lock{progress_mutex};
       done += r.timing.input_fingerprints;
       hooks.report(done, total_work);
     };
-    std::vector<exec::ShardResult> batch_results =
-        executor->run_batch(std::move(jobs), on_result, hooks);
+    std::vector<JobResult> batch_results = run_batch(
+        pool, resolved.glove, std::move(jobs), on_result, hooks);
 
-    for (exec::ShardResult& r : batch_results) {
+    for (JobResult& r : batch_results) {
       result.stats.glove.accumulate_costs(r.stats);
       ShardTiming& timing = result.shard_timings[r.timing.shard];
       timing.init_seconds = r.timing.init_seconds;
@@ -410,8 +492,8 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
   } else {
     // Streaming reconciliation: materialize one budget's worth of
     // reconcile units per rewound pass — the leftover analogue of the
-    // shard batches — and run the pass's GLOVE chunks as one executor
-    // batch.  Chunk membership is fixed by the plan, so the chunks are
+    // shard batches — and run the pass's GLOVE chunks as one batch.
+    // Chunk membership is fixed by the plan, so the chunks are
     // independent jobs exactly like shards.  No fingerprint is held
     // before the pass that consumes it.
     const auto reconcile_start = Clock::now();
@@ -456,15 +538,11 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
                           obs::log_kv("members", pass_members));
       }
 
-      // Materialize what this process runs: everything, or — when the
-      // executor re-reads chunk slices itself — the pass-throughs and
-      // the tail only.
       std::unordered_map<std::uint32_t, std::uint32_t> slot_of_id;
       std::vector<cdr::Fingerprint> store;
       if (inmem == nullptr) {
         std::uint32_t next_slot = 0;
         for (std::size_t u = first_u; u < last_u; ++u) {
-          if (!local_inputs && is_chunk(u)) continue;
           for (const std::uint32_t position : *units[u]) {
             slot_of_id[leftover_ids[position]] = next_slot++;
           }
@@ -494,10 +572,10 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
         ++u;
       }
 
-      // The pass's chunks: one executor batch, results in plan order.
-      // Per-chunk progress (in util::subrange_hooks units) is summed
-      // across concurrent chunks under the lock, so the reported total
-      // stays monotone.
+      // The pass's chunks: one batch, results in plan order.  Per-chunk
+      // progress (in util::subrange_hooks units) is summed across
+      // concurrent chunks under the lock, so the reported total stays
+      // monotone.
       const std::uint64_t chunk_base = done;
       std::uint64_t chunk_sum = 0;
       std::vector<std::uint64_t> chunk_done;
@@ -507,21 +585,15 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
         chunk_done[j] = units_done;
         hooks.report(chunk_base + chunk_sum, total_work);
       };
-      std::vector<std::vector<std::uint32_t>> chunk_ids;
-      chunk_ids.reserve(last_u - u);  // jobs point into it
-      std::vector<exec::ShardJob> jobs;
+      std::vector<Job> jobs;
       for (; u < last_u && is_chunk(u); ++u) {
         const std::size_t j = jobs.size();
-        std::vector<std::uint32_t>& ids = chunk_ids.emplace_back();
-        exec::ShardJob& job = jobs.emplace_back();
-        job.kind = exec::JobKind::kReconcileChunk;
-        job.shard = next_chunk + j;
-        job.member_ids = &ids;
-        ids.reserve(units[u]->size());
-        if (local_inputs) job.inputs.reserve(units[u]->size());
+        Job& job = jobs.emplace_back();
+        job.reconcile_chunk = true;
+        job.index = next_chunk + j;
+        job.inputs.reserve(units[u]->size());
         for (const std::uint32_t position : *units[u]) {
-          ids.push_back(leftover_ids[position]);
-          if (local_inputs) job.inputs.push_back(fetch(position));
+          job.inputs.push_back(fetch(position));
         }
         if (hooks.progress) {
           util::RunHooks forward;
@@ -529,30 +601,27 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
             const std::lock_guard lock{progress_mutex};
             advance(j, units_done);
           };
-          const util::RunHooks scaled =
-              util::subrange_hooks(forward, 0, ids.size(), total_work);
-          job.progress = scaled.progress;
+          job.progress = util::subrange_hooks(forward, 0, job.inputs.size(),
+                                              total_work)
+                             .progress;
         }
         c_chunks.add();
       }
       chunk_done.assign(jobs.size(), 0);
       if (!jobs.empty()) {
-        const exec::ShardResultFn on_result = [&](const exec::ShardResult& r) {
+        const JobResultFn on_result = [&](const JobResult& r) {
           const std::lock_guard lock{progress_mutex};
-          const std::size_t j = r.timing.shard - next_chunk;
-          advance(j, chunk_ids[j].size());
+          advance(r.timing.shard - next_chunk, r.timing.input_fingerprints);
         };
-        std::vector<exec::ShardResult> chunk_results =
-            executor->run_batch(std::move(jobs), on_result, hooks);
-        for (exec::ShardResult& r : chunk_results) {
+        std::vector<JobResult> chunk_results = run_batch(
+            pool, resolved.glove, std::move(jobs), on_result, hooks);
+        for (JobResult& r : chunk_results) {
           rstats.glove.accumulate_costs(r.stats);
           rstats.reconciled_groups += r.groups.size();
+          done += r.timing.input_fingerprints;
           for (cdr::Fingerprint& fp : r.groups) deliver(std::move(fp));
         }
-        for (const std::vector<std::uint32_t>& ids : chunk_ids) {
-          done += ids.size();
-        }
-        next_chunk += chunk_ids.size();
+        next_chunk += chunk_results.size();
       }
 
       if (u < last_u) {  // the suppress tail
@@ -572,9 +641,7 @@ StreamShardedResult anonymize_sharded_stream(FingerprintStream& source,
 
   result.stats.glove.output_groups = emitted_groups;
   result.stats.glove.output_samples = emitted_samples;
-  result.exec_kind = std::string{executor->kind()};
-  result.exec_workers = executor->workers();
-  result.exec_worker_stats = executor->worker_stats();
+  result.workers = pool.size();
   hooks.report(total_work, total_work);
   return result;
 }

@@ -206,7 +206,7 @@ TEST(GlovebinParity, BorderedShardedStreamingAcrossBudgetsAndWorkers) {
 
   const Engine engine;
   for (const std::size_t budget : {12u, 40u}) {
-    for (const std::size_t workers : {1u, 3u}) {
+    for (const std::size_t workers : {1u, 2u, 3u, 4u}) {
       RunConfig config;
       config.strategy = kStrategySharded;
       config.k = 2;

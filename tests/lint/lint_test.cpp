@@ -122,27 +122,19 @@ TEST(LintFixtures, UnorderedIterationFiresInServeLayer) {
   EXPECT_EQ(count_rule(findings, "unordered-iteration"), 3u);
 }
 
-TEST(LintFixtures, UnorderedIterationFiresInShardExecLayer) {
-  // shard/exec/ serializes shard jobs and merges worker replies; an
-  // unordered walk there would scramble the wire bytes across runs.
+TEST(LintFixtures, UnorderedIterationFiresInShardLayer) {
+  // shard/ plans batches from id maps and emits groups in plan order; an
+  // unordered walk there would scramble the output bytes across runs.
   const auto findings =
-      lint_fixture("unordered_bad.txt", "src/glove/shard/exec/fixture.cpp");
+      lint_fixture("unordered_bad.txt", "src/glove/shard/fixture.cpp");
   EXPECT_EQ(count_rule(findings, "unordered-iteration"), 3u);
 }
 
-TEST(LintFixtures, UnorderedIterationFiresInShardWorkerTool) {
-  // The worker daemon is an emission layer of its own: its replies are
-  // the bytes the coordinator folds into the final output.
+TEST(LintFixtures, ObsNamingFiresInShardLayer) {
+  // The batch runner's span and counter literals land in traces and in
+  // the report's "obs" section — a bad literal there corrupts both.
   const auto findings =
-      lint_fixture("unordered_bad.txt", "tools/shard_worker/fixture.cpp");
-  EXPECT_EQ(count_rule(findings, "unordered-iteration"), 3u);
-}
-
-TEST(LintFixtures, ObsNamingFiresInShardWorkerTool) {
-  // Worker counter deltas travel back by name and land in the report's
-  // "obs" section — a bad literal in the worker corrupts it identically.
-  const auto findings =
-      lint_fixture("obs_bad.txt", "tools/shard_worker/fixture.cpp");
+      lint_fixture("obs_bad.txt", "src/glove/shard/fixture.cpp");
   EXPECT_EQ(count_rule(findings, "obs-naming"), 6u);
 }
 

@@ -1,7 +1,7 @@
-// The sharded streaming core: a text-backed stream (parse-on-every-pass,
+// The sharded streaming core: a text-backed source (parse-on-every-pass,
 // like the file source) must reproduce the in-memory pipeline byte for
 // byte, batching must not change the output, per-pass accounting must add
-// up, and a stream that changes size between passes must be rejected.
+// up, and a source that changes size between passes must be rejected.
 
 #include "glove/shard/stream.hpp"
 
@@ -16,12 +16,14 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/fixtures.hpp"
 #include "common/golden.hpp"
+#include "glove/api/source.hpp"
 #include "glove/cdr/io.hpp"
 #include "glove/obs/metrics.hpp"
 #include "glove/obs/span.hpp"
@@ -41,10 +43,12 @@ ShardConfig small_config(std::uint32_t k = 2) {
 
 /// Streams fingerprints out of serialized CSV text, re-parsing on every
 /// pass — the unit-test stand-in for CsvFileSource.
-class TextStream final : public FingerprintStream {
+class TextStream final : public api::DatasetSource {
  public:
   explicit TextStream(std::string text) : text_{std::move(text)} { rewind(); }
 
+  std::string_view kind() const noexcept override { return "text"; }
+  std::string name() const override { return "text"; }
   bool next(cdr::Fingerprint& fingerprint) override {
     return reader_->next(fingerprint);
   }
@@ -59,7 +63,7 @@ class TextStream final : public FingerprintStream {
   std::optional<cdr::DatasetStreamReader> reader_;
 };
 
-std::vector<cdr::Fingerprint> run_stream(FingerprintStream& stream,
+std::vector<cdr::Fingerprint> run_stream(api::DatasetSource& stream,
                                          const ShardConfig& config,
                                          StreamShardedResult* result_out) {
   std::vector<cdr::Fingerprint> groups;
@@ -148,7 +152,7 @@ TEST(ShardStream, SmallBudgetRunsManyPassesLargeBudgetFew) {
 }
 
 TEST(ShardStream, MaterializedSourceSkipsRestreamingButMatchesOutput) {
-  // An in-memory DatasetStream advertises its backing dataset, so the
+  // An in-memory MemorySource advertises its backing dataset, so the
   // pipeline reads by index: one reported (logical) pass, identical
   // bytes to the text-backed multi-pass run.
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
@@ -156,7 +160,7 @@ TEST(ShardStream, MaterializedSourceSkipsRestreamingButMatchesOutput) {
   cdr::write_dataset_csv(serialized, data);
   const ShardConfig config = small_config();
 
-  DatasetStream memory_stream{data};
+  api::MemorySource memory_stream{data};
   StreamShardedResult memory_result;
   std::vector<cdr::Fingerprint> memory_groups =
       run_stream(memory_stream, config, &memory_result);
@@ -177,7 +181,7 @@ TEST(ShardStream, AdaptiveTileSizeResolvesFromTheScanPass) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
   ShardConfig config = small_config();
   config.tile_size_m = 0.0;  // adaptive
-  DatasetStream stream{data};
+  api::MemorySource stream{data};
   StreamShardedResult result;
   std::vector<cdr::Fingerprint> groups = run_stream(stream, config, &result);
   EXPECT_GE(result.stats.tile_size_m, 1'000.0);
@@ -187,7 +191,7 @@ TEST(ShardStream, AdaptiveTileSizeResolvesFromTheScanPass) {
   // Explicitly configuring the resolved size reproduces the run exactly.
   ShardConfig pinned = small_config();
   pinned.tile_size_m = result.stats.tile_size_m;
-  DatasetStream again{data};
+  api::MemorySource again{data};
   std::vector<cdr::Fingerprint> pinned_groups =
       run_stream(again, pinned, nullptr);
   EXPECT_EQ(test::dataset_to_csv(
@@ -300,7 +304,7 @@ TEST(ShardStream, ReconcileChunksRunConcurrentlyWithIdenticalBytes) {
   // A wide halo over small shards defers enough sub-k fingerprints for
   // several chunks.  The strictly serial schedule — one worker, one chunk
   // per rewound pass — is the reference; an unbounded budget puts every
-  // chunk into one pass, i.e. one concurrent executor batch.
+  // chunk into one pass, i.e. one concurrent batch.
   ShardConfig config = small_config();
   config.max_shard_users = 4;
   config.halo_m = 2'000.0;
@@ -316,7 +320,7 @@ TEST(ShardStream, ReconcileChunksRunConcurrentlyWithIdenticalBytes) {
     EXPECT_EQ(result.stats.reconcile_passes, 1u) << "workers=" << workers;
     EXPECT_GE(counter_delta(before, "stream.reconcile_chunks"), 3u)
         << "workers=" << workers;
-    EXPECT_EQ(result.exec_workers, workers);
+    EXPECT_EQ(result.workers, workers);
   }
 
   // Concurrency on the traced 4-worker run: the first progress report
@@ -390,7 +394,7 @@ TEST(ShardStream, ReconcilePassAccountingAddsUp) {
             wide_result.stats.reconcile_passes);
 
   // Materialized sources fetch leftovers by index: no rewound passes.
-  DatasetStream memory_stream{data};
+  api::MemorySource memory_stream{data};
   StreamShardedResult memory_result;
   (void)run_stream(memory_stream, tight, &memory_result);
   EXPECT_EQ(memory_result.stats.reconcile_passes, 0u);
@@ -403,7 +407,7 @@ TEST(ShardStream, ProgressCountsDeferredFingerprintsDuringReconcile) {
   // report before the final tick covers all n fingerprints, kept and
   // deferred alike (deferred ones used to stall below n).
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
-  DatasetStream stream{data};
+  api::MemorySource stream{data};
   util::RunHooks hooks;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> reports;
   hooks.progress = [&](std::uint64_t done, std::uint64_t total) {
@@ -455,10 +459,12 @@ TEST(ShardStream, CancellationFiresMidReconcileChunk) {
 TEST(ShardStream, StreamThatShrinksBetweenPassesIsRejected) {
   /// Yields the dataset on the first pass, then one fingerprint fewer on
   /// every later pass — a file truncated mid-run.
-  class ShrinkingStream final : public FingerprintStream {
+  class ShrinkingStream final : public api::DatasetSource {
    public:
     explicit ShrinkingStream(const cdr::FingerprintDataset& data)
         : data_{&data} {}
+    std::string_view kind() const noexcept override { return "shrinking"; }
+    std::string name() const override { return data_->name(); }
     bool next(cdr::Fingerprint& fingerprint) override {
       const std::size_t limit =
           passes_ == 0 ? data_->size() : data_->size() - 1;
@@ -485,14 +491,14 @@ TEST(ShardStream, StreamThatShrinksBetweenPassesIsRejected) {
 
 TEST(ShardStream, EmptyAndSubKStreamsRaiseDatasetError) {
   const cdr::FingerprintDataset empty;
-  DatasetStream empty_stream{empty};
+  api::MemorySource empty_stream{empty};
   EXPECT_THROW((void)run_stream(empty_stream, small_config(), nullptr),
                util::DatasetError);
 
   const cdr::FingerprintDataset three = test::small_synth_dataset(3);
   ShardConfig demanding = small_config(100);
   demanding.max_shard_users = 128;  // keep the *config* itself valid
-  DatasetStream short_stream{three};
+  api::MemorySource short_stream{three};
   EXPECT_THROW((void)run_stream(short_stream, demanding, nullptr),
                util::DatasetError);
 }
