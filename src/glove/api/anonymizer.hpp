@@ -2,12 +2,12 @@
 // (GLOVE full/chunked/pruned, incremental updates, the W4M baseline, the
 // sharded backend) implements to plug into the Engine.
 //
-// Two run shapes exist.  Every strategy implements the dataset-in shape
-// (`run`); strategies that can consume a rewindable DatasetSource without
-// materializing it whole additionally set `supports_streaming()` and
-// implement `run_streaming` — the Engine routes streaming runs there and
-// transparently falls back to collect-then-run for everything else, so
-// strategies opt in gradually.
+// Two run shapes exist, and a strategy implements exactly one.  Strategies
+// that can consume a rewindable DatasetSource without materializing it
+// whole set `supports_streaming()` and implement `run_streaming`; the
+// Engine routes every run of theirs there, in-memory ones included.  All
+// other strategies implement the dataset-in shape (`run`), and the Engine
+// collects the source for them first.
 
 #ifndef GLOVE_API_ANONYMIZER_HPP
 #define GLOVE_API_ANONYMIZER_HPP
@@ -84,14 +84,21 @@ class Anonymizer {
     return std::nullopt;
   }
 
-  /// Runs the strategy on a materialized dataset.  May throw
-  /// util::CancelledError (mapped to kCancelled by the Engine),
-  /// util::DatasetError (kInvalidDataset), std::invalid_argument
-  /// (kInvalidConfig) or any std::exception (kInternal); the Engine owns
-  /// the mapping so strategies can lean on the legacy throwing core.
+  /// Runs the strategy on a materialized dataset.  Only called when not
+  /// `supports_streaming()`.  May throw util::CancelledError (mapped to
+  /// kCancelled by the Engine), util::DatasetError (kInvalidDataset),
+  /// std::invalid_argument (kInvalidConfig) or any std::exception
+  /// (kInternal); the Engine owns the mapping so strategies can lean on
+  /// the legacy throwing core.
   [[nodiscard]] virtual StrategyOutcome run(
       const cdr::FingerprintDataset& data, const RunConfig& config,
-      const RunContext& context) const = 0;
+      const RunContext& context) const {
+    (void)data;
+    (void)config;
+    (void)context;
+    throw std::logic_error{"strategy '" + std::string{name()} +
+                           "' does not implement dataset runs"};
+  }
 
   /// True when `run_streaming` consumes the source incrementally (bounded
   /// memory) instead of needing the dataset whole.  The Engine collects

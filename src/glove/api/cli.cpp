@@ -17,6 +17,26 @@
 
 namespace glove::api {
 
+namespace {
+
+/// Reads integer flag `name` as a T, rejecting a value that does not fit
+/// instead of letting the cast wrap it (--k=4294967298 would run at k=2,
+/// a negative --shard-workers would ask for ~2^64 threads).
+template <typename T>
+T unsigned_flag(const util::Flags& flags, std::string_view name) {
+  const long long value = flags.get_int(name);
+  if (value < 0 || static_cast<unsigned long long>(value) >
+                       std::numeric_limits<T>::max()) {
+    throw std::invalid_argument{
+        "--" + std::string{name} + " must be in [0, " +
+        std::to_string(std::numeric_limits<T>::max()) + "] (got " +
+        std::to_string(value) + ")"};
+  }
+  return static_cast<T>(value);
+}
+
+}  // namespace
+
 bool parse_cli(util::Flags& flags, int argc, const char* const* argv,
                int& exit_code) {
   try {
@@ -100,7 +120,7 @@ void finish_observability(const util::Flags& flags, std::ostream& out) {
 RunConfig run_config_from_flags(const util::Flags& flags) {
   RunConfig config;
   config.strategy = flags.get("strategy");
-  config.k = static_cast<std::uint32_t>(flags.get_int("k"));
+  config.k = unsigned_flag<std::uint32_t>(flags, "k");
   const double suppress_km = flags.get_double("suppress-km");
   const double suppress_hours = flags.get_double("suppress-hours");
   if (suppress_km > 0.0 || suppress_hours > 0.0) {
@@ -110,23 +130,13 @@ RunConfig run_config_from_flags(const util::Flags& flags) {
         suppress_hours > 0.0 ? suppress_hours * 60.0
                              : std::numeric_limits<double>::infinity()};
   }
-  config.chunked.chunk_size =
-      static_cast<std::size_t>(flags.get_int("chunk-size"));
+  config.chunked.chunk_size = unsigned_flag<std::size_t>(flags, "chunk-size");
   config.sharded.tile_size_m = flags.get_double("tile-km") * 1'000.0;
-  const long long shard_users = flags.get_int("shard-users");
-  const long long shard_workers = flags.get_int("shard-workers");
-  const long long reconcile_chunk = flags.get_int("reconcile-chunk-users");
-  if (shard_users < 0 || shard_workers < 0 || reconcile_chunk < 0) {
-    // Without this check the size_t cast would wrap a negative flag to
-    // ~2^64 — for workers that drives thread creation, not just a bound.
-    throw std::invalid_argument{
-        "--shard-users, --shard-workers and --reconcile-chunk-users must be "
-        "non-negative"};
-  }
-  config.sharded.max_shard_users = static_cast<std::size_t>(shard_users);
-  config.sharded.workers = static_cast<std::size_t>(shard_workers);
+  config.sharded.max_shard_users =
+      unsigned_flag<std::size_t>(flags, "shard-users");
+  config.sharded.workers = unsigned_flag<std::size_t>(flags, "shard-workers");
   config.sharded.reconcile_chunk_users =
-      static_cast<std::size_t>(reconcile_chunk);
+      unsigned_flag<std::size_t>(flags, "reconcile-chunk-users");
   config.sharded.halo_m = flags.get_double("halo-km") * 1'000.0;
   config.sharded.border = flags.get("border") == "none"
                               ? shard::BorderPolicy::kNone

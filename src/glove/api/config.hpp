@@ -1,17 +1,20 @@
 // RunConfig: the one validated configuration for every anonymization
-// strategy the Engine can drive.  Shared knobs (k, stretch limits,
-// suppression) sit at the top level; strategy-specific knobs live in
-// per-strategy sections that are ignored by the other strategies.
+// strategy the Engine can drive.  It is the paper's GLOVE parameter set
+// (core::GloveConfig: k, stretch limits, suppression, reshape, leftover
+// policy; W4M uses only k) plus one section per strategy, each the
+// algorithm's own layout struct, ignored by the other strategies.  The
+// run report echoes it back (api/report.hpp).
 
 #ifndef GLOVE_API_CONFIG_HPP
 #define GLOVE_API_CONFIG_HPP
 
-#include <cstdint>
 #include <optional>
 #include <string>
 
+#include "glove/baseline/w4m.hpp"
 #include "glove/cdr/dataset.hpp"
 #include "glove/core/glove.hpp"
+#include "glove/core/scalability.hpp"
 #include "glove/shard/config.hpp"
 #include "glove/util/hooks.hpp"
 
@@ -25,62 +28,14 @@ inline constexpr std::string_view kStrategyIncremental = "incremental";
 inline constexpr std::string_view kStrategyW4M = "w4m-baseline";
 inline constexpr std::string_view kStrategySharded = "sharded";
 
-struct RunConfig {
+struct RunConfig : core::GloveConfig {
   /// Registered Anonymizer to run (see Engine::strategies()).
   std::string strategy{kStrategyFull};
 
-  // --- Shared knobs (GLOVE family; W4M uses only `k`).
-  /// Target anonymity level; every output fingerprint hides >= k users.
-  std::uint32_t k = 2;
-  core::StretchLimits limits;
-  /// Per-merge suppression thresholds (Sec. 7.1); disabled when empty.
-  std::optional<core::SuppressionThresholds> suppression;
-  /// Resolve temporal overlaps after each merge (Fig. 6b).
-  bool reshape = true;
-  core::LeftoverPolicy leftover_policy =
-      core::LeftoverPolicy::kMergeIntoNearest;
-
   // --- Strategy sections.
-  struct ChunkedSection {
-    /// Users per locality-sorted chunk; must be >= k.
-    std::size_t chunk_size = 2'000;
-  } chunked;
-
-  struct W4MSection {
-    /// Diameter of the uncertainty cylinder, metres.
-    double delta_m = 2'000.0;
-    /// Maximum fraction of trajectories discarded as outliers, in [0, 1).
-    double trash_fraction = 0.10;
-    /// Trajectories per clustering chunk (the LC variant); must be >= k.
-    std::size_t chunk_size = 512;
-    /// Published-to-original timestamp match tolerance, minutes.
-    double match_tolerance_min = 1.0;
-  } w4m;
-
-  struct ShardedSection {
-    /// Edge length of the spatial tiles fingerprints are bucketed into.
-    /// 0 = adaptive: derived from the anchor density observed during the
-    /// planning pass (targets a fingerprints-per-tile band and shrinks
-    /// until the densest tile fits max_shard_users).  The resolved value
-    /// is reported as the "tile_size_m" run metric.
-    double tile_size_m = 25'000.0;
-    /// Load-balancing target: fingerprints per shard; must be >= k.
-    std::size_t max_shard_users = 2'000;
-    /// Shard-scheduler worker threads; 0 = shared-pool default
-    /// (GLOVE_THREADS when set, else hardware concurrency).  The output
-    /// is byte-identical for every worker count.
-    std::size_t workers = 0;
-    /// Border handling: kHalo defers fingerprints near a foreign tile to
-    /// the reconciliation pass; kNone keeps everything in its home shard.
-    shard::BorderPolicy border = shard::BorderPolicy::kHalo;
-    /// Border strip width for kHalo, metres.
-    double halo_m = 1'000.0;
-    /// Streaming runs: deferred fingerprints materialized per
-    /// halo-reconciliation pass (whole reconcile chunks per pass; 0 = the
-    /// shard batch budget).  Does not change the output bytes — only how
-    /// many rewound passes the reconciliation spends.
-    std::size_t reconcile_chunk_users = 0;
-  } sharded;
+  core::ChunkedConfig chunked;
+  baseline::W4MConfig w4m;
+  shard::ShardConfig sharded;
 
   struct IncrementalSection {
     /// The already-published k-anonymized release; the run's input dataset

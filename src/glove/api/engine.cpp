@@ -160,7 +160,10 @@ Result<RunReport> Engine::run(DatasetSource& source, DatasetSink& sink,
     report.timings.total_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    report.config = echo_config(config);
+    report.config = config;
+    report.config.progress = nullptr;
+    report.config.cancel.reset();
+    report.config.incremental.published = nullptr;
     report.extra_metrics = std::move(outcome.extra_metrics);
     report.shard_timings = std::move(outcome.shard_timings);
     report.source_kind = source.kind();

@@ -53,79 +53,51 @@ void set_metric(RunReport& report, std::string name, double value) {
   report.extra_metrics.emplace_back(std::move(name), value);
 }
 
-ConfigEcho echo_config(const RunConfig& config) {
-  ConfigEcho echo;
-  echo.strategy = config.strategy;
-  echo.k = config.k;
-  echo.phi_max_sigma_m = config.limits.phi_max_sigma_m;
-  echo.phi_max_tau_min = config.limits.phi_max_tau_min;
-  echo.w_sigma = config.limits.w_sigma;
-  echo.w_tau = config.limits.w_tau;
-  echo.suppression_enabled = config.suppression.has_value();
-  if (config.suppression) {
-    echo.max_spatial_extent_m = config.suppression->max_spatial_extent_m;
-    echo.max_temporal_extent_min = config.suppression->max_temporal_extent_min;
-  }
-  echo.reshape = config.reshape;
-  echo.leftover_policy = leftover_policy_name(config.leftover_policy);
-  echo.chunked_chunk_size = config.chunked.chunk_size;
-  echo.sharded_tile_size_m = config.sharded.tile_size_m;
-  echo.sharded_max_shard_users = config.sharded.max_shard_users;
-  echo.sharded_workers = config.sharded.workers;
-  echo.sharded_border = border_policy_name(config.sharded.border);
-  echo.sharded_halo_m = config.sharded.halo_m;
-  echo.sharded_reconcile_chunk_users = config.sharded.reconcile_chunk_users;
-  echo.w4m_delta_m = config.w4m.delta_m;
-  echo.w4m_trash_fraction = config.w4m.trash_fraction;
-  echo.w4m_chunk_size = config.w4m.chunk_size;
-  echo.w4m_match_tolerance_min = config.w4m.match_tolerance_min;
-  return echo;
-}
-
 stats::Json report_json(const RunReport& report) {
-  const ConfigEcho& echo = report.config;
+  const RunConfig& rc = report.config;
 
   stats::Json limits = stats::Json::object();
-  limits.set("phi_max_sigma_m", echo.phi_max_sigma_m)
-      .set("phi_max_tau_min", echo.phi_max_tau_min)
-      .set("w_sigma", echo.w_sigma)
-      .set("w_tau", echo.w_tau);
+  limits.set("phi_max_sigma_m", rc.limits.phi_max_sigma_m)
+      .set("phi_max_tau_min", rc.limits.phi_max_tau_min)
+      .set("w_sigma", rc.limits.w_sigma)
+      .set("w_tau", rc.limits.w_tau);
 
+  // Disabled suppression serializes its thresholds as 0.
+  const core::SuppressionThresholds thresholds =
+      rc.suppression.value_or(core::SuppressionThresholds{0.0, 0.0});
   stats::Json suppression = stats::Json::object();
-  suppression.set("enabled", echo.suppression_enabled)
-      .set("max_spatial_extent_m", echo.max_spatial_extent_m)
-      .set("max_temporal_extent_min", echo.max_temporal_extent_min);
+  suppression.set("enabled", rc.suppression.has_value())
+      .set("max_spatial_extent_m", thresholds.max_spatial_extent_m)
+      .set("max_temporal_extent_min", thresholds.max_temporal_extent_min);
 
   stats::Json config = stats::Json::object();
-  config.set("strategy", echo.strategy)
-      .set("k", echo.k)
+  config.set("strategy", rc.strategy)
+      .set("k", rc.k)
       .set("limits", std::move(limits))
       .set("suppression", std::move(suppression))
-      .set("reshape", echo.reshape)
-      .set("leftover_policy", echo.leftover_policy)
+      .set("reshape", rc.reshape)
+      .set("leftover_policy", leftover_policy_name(rc.leftover_policy))
       .set("chunked",
            stats::Json::object().set(
                "chunk_size",
-               static_cast<std::uint64_t>(echo.chunked_chunk_size)))
+               static_cast<std::uint64_t>(rc.chunked.chunk_size)))
       .set("sharded",
            stats::Json::object()
-               .set("tile_size_m", echo.sharded_tile_size_m)
+               .set("tile_size_m", rc.sharded.tile_size_m)
                .set("max_shard_users",
-                    static_cast<std::uint64_t>(echo.sharded_max_shard_users))
-               .set("workers",
-                    static_cast<std::uint64_t>(echo.sharded_workers))
-               .set("border", echo.sharded_border)
-               .set("halo_m", echo.sharded_halo_m)
+                    static_cast<std::uint64_t>(rc.sharded.max_shard_users))
+               .set("workers", static_cast<std::uint64_t>(rc.sharded.workers))
+               .set("border", border_policy_name(rc.sharded.border))
+               .set("halo_m", rc.sharded.halo_m)
                .set("reconcile_chunk_users",
                     static_cast<std::uint64_t>(
-                        echo.sharded_reconcile_chunk_users)))
+                        rc.sharded.reconcile_chunk_users)))
       .set("w4m", stats::Json::object()
-                      .set("delta_m", echo.w4m_delta_m)
-                      .set("trash_fraction", echo.w4m_trash_fraction)
+                      .set("delta_m", rc.w4m.delta_m)
+                      .set("trash_fraction", rc.w4m.trash_fraction)
                       .set("chunk_size",
-                           static_cast<std::uint64_t>(echo.w4m_chunk_size))
-                      .set("match_tolerance_min",
-                           echo.w4m_match_tolerance_min));
+                           static_cast<std::uint64_t>(rc.w4m.chunk_size))
+                      .set("match_tolerance_min", rc.w4m.match_tolerance_min));
 
   const RunCounters& c = report.counters;
   stats::Json counters = stats::Json::object();

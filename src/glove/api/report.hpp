@@ -1,7 +1,7 @@
 // RunReport: the structured outcome of an Engine run — the anonymized
-// dataset plus uniform counters, phase timings, a config echo, and
-// strategy-specific extra metrics.  Serializable to JSON (schema locked by
-// a golden test) and to a flat CSV row for sweep scripts.
+// dataset plus uniform counters, phase timings, the run's configuration,
+// and strategy-specific extra metrics.  Serializable to JSON (schema
+// locked by a golden test) and to a flat CSV row for sweep scripts.
 
 #ifndef GLOVE_API_REPORT_HPP
 #define GLOVE_API_REPORT_HPP
@@ -13,59 +13,19 @@
 
 #include "glove/api/config.hpp"
 #include "glove/cdr/dataset.hpp"
-#include "glove/shard/runner.hpp"
+#include "glove/shard/planner.hpp"
 #include "glove/stats/json.hpp"
 
 namespace glove::api {
 
-/// Uniform cost counters across strategies (the Tab. 2 rows).  Fields a
-/// strategy cannot produce stay zero (e.g. created_samples for GLOVE,
-/// merges for W4M).
-struct RunCounters {
-  std::uint64_t input_users = 0;
-  std::uint64_t input_samples = 0;
-  std::uint64_t output_groups = 0;
-  std::uint64_t output_samples = 0;
-  std::uint64_t merges = 0;
-  std::uint64_t deleted_samples = 0;
-  std::uint64_t created_samples = 0;
-  std::uint64_t discarded_fingerprints = 0;
-  std::uint64_t stretch_evaluations = 0;
-};
+/// Uniform cost counters across strategies (the Tab. 2 rows).
+using RunCounters = core::CostCounters;
 
 struct RunTimings {
   double init_seconds = 0.0;   ///< strategy setup (e.g. stretch matrix)
   double merge_seconds = 0.0;  ///< main loop (greedy merge / clustering)
   double total_seconds = 0.0;  ///< wall clock of Engine::run
 };
-
-/// Scalar echo of the validated configuration the run actually used.
-struct ConfigEcho {
-  std::string strategy;
-  std::uint32_t k = 0;
-  double phi_max_sigma_m = 0.0;
-  double phi_max_tau_min = 0.0;
-  double w_sigma = 0.0;
-  double w_tau = 0.0;
-  bool suppression_enabled = false;
-  double max_spatial_extent_m = 0.0;
-  double max_temporal_extent_min = 0.0;
-  bool reshape = true;
-  std::string leftover_policy;
-  std::size_t chunked_chunk_size = 0;
-  double sharded_tile_size_m = 0.0;
-  std::size_t sharded_max_shard_users = 0;
-  std::size_t sharded_workers = 0;
-  std::string sharded_border;
-  double sharded_halo_m = 0.0;
-  std::size_t sharded_reconcile_chunk_users = 0;
-  double w4m_delta_m = 0.0;
-  double w4m_trash_fraction = 0.0;
-  std::size_t w4m_chunk_size = 0;
-  double w4m_match_tolerance_min = 0.0;
-};
-
-[[nodiscard]] ConfigEcho echo_config(const RunConfig& config);
 
 struct RunReport {
   std::string strategy;
@@ -76,7 +36,10 @@ struct RunReport {
   cdr::FingerprintDataset anonymized;
   RunCounters counters;
   RunTimings timings;
-  ConfigEcho config;
+  /// The validated configuration the run used, serialized under "config".
+  /// The Engine clears the run-scoped observers (progress, cancel) and
+  /// incremental.published, which points at caller-owned data.
+  RunConfig config;
   /// Strategy-specific scalar metrics (e.g. W4M mean errors, incremental
   /// join counts), serialized under "metrics" in declaration order.
   std::vector<std::pair<std::string, double>> extra_metrics;
@@ -122,8 +85,8 @@ struct RunReport {
 /// through this rather than growing the locked top-level schema.
 void set_metric(RunReport& report, std::string name, double value);
 
-/// JSON document of everything but the dataset itself (strategy, config
-/// echo, counters, timings, metrics).  Key order is fixed; the schema is
+/// JSON document of everything but the dataset itself (strategy, config,
+/// counters, timings, metrics).  Key order is fixed; the schema is
 /// locked by tests/api/report_test.cpp.
 [[nodiscard]] stats::Json report_json(const RunReport& report);
 [[nodiscard]] std::string to_json(const RunReport& report, int indent = 2);

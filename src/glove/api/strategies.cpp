@@ -1,7 +1,8 @@
 // The built-in Anonymizer strategies, each a thin adapter from the
 // uniform RunConfig onto the corresponding core/shard/baseline algorithm.
-// The algorithms themselves are unchanged — the parity test locks every
-// single-matrix strategy's output to the pre-Engine free function byte
+// RunConfig is the algorithms' GloveConfig and holds their own layout
+// sections, so the adapters pass it straight through.  The parity test
+// locks every single-matrix strategy's output to the free function byte
 // for byte.
 
 #include "glove/api/engine.hpp"
@@ -9,39 +10,15 @@
 #include "glove/core/glove.hpp"
 #include "glove/core/incremental.hpp"
 #include "glove/core/scalability.hpp"
-#include "glove/shard/shard.hpp"
 #include "glove/shard/stream.hpp"
 
 namespace glove::api {
 
 namespace {
 
-core::GloveConfig to_glove_config(const RunConfig& config) {
-  core::GloveConfig glove;
-  glove.k = config.k;
-  glove.limits = config.limits;
-  glove.suppression = config.suppression;
-  glove.reshape = config.reshape;
-  glove.leftover_policy = config.leftover_policy;
-  return glove;
-}
-
-RunCounters from_glove_stats(const core::GloveStats& stats) {
-  RunCounters counters;
-  counters.input_users = stats.input_users;
-  counters.input_samples = stats.input_samples;
-  counters.output_groups = stats.output_groups;
-  counters.output_samples = stats.output_samples;
-  counters.merges = stats.merges;
-  counters.deleted_samples = stats.deleted_samples;
-  counters.discarded_fingerprints = stats.discarded_fingerprints;
-  counters.stretch_evaluations = stats.stretch_evaluations;
-  return counters;
-}
-
 StrategyOutcome from_glove_result(core::GloveResult result) {
   StrategyOutcome outcome;
-  outcome.counters = from_glove_stats(result.stats);
+  outcome.counters = result.stats;
   outcome.init_seconds = result.stats.init_seconds;
   outcome.merge_seconds = result.stats.merge_seconds;
   outcome.anonymized = std::move(result.anonymized);
@@ -73,7 +50,7 @@ class FullStrategy final : public Anonymizer {
                       const RunConfig& config,
                       const RunContext& context) const override {
     return from_glove_result(
-        core::anonymize(data, to_glove_config(config), context.hooks));
+        core::anonymize(data, config, context.hooks));
   }
 };
 
@@ -94,7 +71,7 @@ class PrunedStrategy final : public Anonymizer {
                       const RunConfig& config,
                       const RunContext& context) const override {
     return from_glove_result(
-        core::anonymize_pruned(data, to_glove_config(config), context.hooks));
+        core::anonymize_pruned(data, config, context.hooks));
   }
 };
 
@@ -118,11 +95,8 @@ class ChunkedStrategy final : public Anonymizer {
   StrategyOutcome run(const cdr::FingerprintDataset& data,
                       const RunConfig& config,
                       const RunContext& context) const override {
-    core::ChunkedConfig chunked;
-    chunked.glove = to_glove_config(config);
-    chunked.chunk_size = config.chunked.chunk_size;
-    return from_glove_result(
-        core::anonymize_chunked(data, chunked, context.hooks));
+    return from_glove_result(core::anonymize_chunked(
+        data, config, config.chunked, context.hooks));
   }
 };
 
@@ -166,10 +140,10 @@ class IncrementalStrategy final : public Anonymizer {
         config.incremental.published != nullptr ? *config.incremental.published
                                                 : kEmptyPublished;
     core::UpdateResult result = core::anonymize_update(
-        published, data, to_glove_config(config), context.hooks);
+        published, data, config, context.hooks);
 
     StrategyOutcome outcome;
-    outcome.counters = from_glove_stats(result.stats.glove);
+    outcome.counters = result.stats.glove;
     outcome.counters.input_users = published.total_users() + data.total_users();
     outcome.counters.input_samples =
         published.total_samples() + data.total_samples();
@@ -220,17 +194,6 @@ class ShardedStrategy final : public Anonymizer {
   }
   bool supports_streaming() const noexcept override { return true; }
 
-  StrategyOutcome run(const cdr::FingerprintDataset& data,
-                      const RunConfig& config,
-                      const RunContext& context) const override {
-    shard::ShardedResult result = shard::anonymize_sharded(
-        data, to_shard_config(config), context.hooks);
-    StrategyOutcome outcome =
-        outcome_from_stats(result.stats, std::move(result.shard_timings));
-    outcome.anonymized = std::move(result.anonymized);
-    return outcome;
-  }
-
   StrategyOutcome run_streaming(DatasetSource& source, const RunConfig& config,
                                 const RunContext& context,
                                 DatasetSink& sink) const override {
@@ -240,34 +203,13 @@ class ShardedStrategy final : public Anonymizer {
     // shards finish.
     sink.begin(shard::sharded_output_name(source.name(), config.k));
     shard::StreamShardedResult result = shard::anonymize_sharded_stream(
-        source, to_shard_config(config),
+        source, config, config.sharded,
         [&sink](cdr::Fingerprint&& group) { sink.write(std::move(group)); },
         context.hooks);
     sink.finish();
-    StrategyOutcome outcome =
-        outcome_from_stats(result.stats, std::move(result.shard_timings));
-    outcome.pass_fingerprints = std::move(result.pass_fingerprints);
-    return outcome;
-  }
-
- private:
-  static shard::ShardConfig to_shard_config(const RunConfig& config) {
-    shard::ShardConfig sharded;
-    sharded.glove = to_glove_config(config);
-    sharded.tile_size_m = config.sharded.tile_size_m;
-    sharded.max_shard_users = config.sharded.max_shard_users;
-    sharded.workers = config.sharded.workers;
-    sharded.border = config.sharded.border;
-    sharded.halo_m = config.sharded.halo_m;
-    sharded.reconcile_chunk_users = config.sharded.reconcile_chunk_users;
-    return sharded;
-  }
-
-  static StrategyOutcome outcome_from_stats(
-      const shard::ShardedStats& stats,
-      std::vector<shard::ShardTiming> timings) {
+    const shard::ShardedStats& stats = result.stats;
     StrategyOutcome outcome;
-    outcome.counters = from_glove_stats(stats.glove);
+    outcome.counters = stats.glove;
     outcome.init_seconds = stats.glove.init_seconds;
     outcome.merge_seconds = stats.glove.merge_seconds;
     outcome.extra_metrics = {
@@ -281,7 +223,8 @@ class ShardedStrategy final : public Anonymizer {
         {"tile_size_m", stats.tile_size_m},
         {"plan_seconds", stats.plan_seconds},
         {"reconcile_seconds", stats.reconcile_seconds}};
-    outcome.shard_timings = std::move(timings);
+    outcome.shard_timings = std::move(result.shard_timings);
+    outcome.pass_fingerprints = std::move(result.pass_fingerprints);
     return outcome;
   }
 };
@@ -314,29 +257,16 @@ class W4MStrategy final : public Anonymizer {
   StrategyOutcome run(const cdr::FingerprintDataset& data,
                       const RunConfig& config,
                       const RunContext& context) const override {
-    baseline::W4MConfig w4m;
-    w4m.k = config.k;
-    w4m.delta_m = config.w4m.delta_m;
-    w4m.trash_fraction = config.w4m.trash_fraction;
-    w4m.chunk_size = config.w4m.chunk_size;
-    w4m.match_tolerance_min = config.w4m.match_tolerance_min;
     baseline::W4MResult result =
-        baseline::anonymize_w4m(data, w4m, context.hooks);
+        baseline::anonymize_w4m(data, config.k, config.w4m, context.hooks);
 
     StrategyOutcome outcome;
-    outcome.counters.input_users = result.stats.input_users;
-    outcome.counters.input_samples = result.stats.input_samples;
-    outcome.counters.deleted_samples = result.stats.deleted_samples;
-    outcome.counters.created_samples = result.stats.created_samples;
-    outcome.counters.discarded_fingerprints =
-        result.stats.discarded_fingerprints;
+    outcome.counters = result.stats;
     outcome.extra_metrics = {
         {"clusters", static_cast<double>(result.stats.clusters)},
         {"mean_position_error_m", result.stats.mean_position_error_m},
         {"mean_time_error_min", result.stats.mean_time_error_min}};
     outcome.anonymized = std::move(result.anonymized);
-    outcome.counters.output_groups = outcome.anonymized.size();
-    outcome.counters.output_samples = outcome.anonymized.total_samples();
     return outcome;
   }
 };

@@ -116,17 +116,17 @@ double linear_st_distance(const cdr::Fingerprint& a,
   return linear_st_distance_impl(to_trajectory(a), to_trajectory(b));
 }
 
-W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
+W4MResult anonymize_w4m(const cdr::FingerprintDataset& data, std::uint32_t k,
                         const W4MConfig& config,
                         const util::RunHooks& hooks) {
-  if (config.k < 2) {
+  if (k < 2) {
     throw std::invalid_argument{"W4M requires k >= 2"};
   }
-  if (data.size() < config.k) {
+  if (data.size() < k) {
     throw std::invalid_argument{
         "dataset smaller than the target anonymity level k"};
   }
-  if (config.chunk_size < config.k) {
+  if (config.chunk_size < k) {
     throw std::invalid_argument{"chunk size must be at least k"};
   }
 
@@ -161,7 +161,7 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
       unassigned.push_back(i);
     }
 
-    while (unassigned.size() >= config.k) {
+    while (unassigned.size() >= k) {
       hooks.throw_if_cancelled();
       const std::size_t pivot = unassigned.front();
       // Distances from the pivot to all other unassigned trajectories.
@@ -174,7 +174,7 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
                                     trajectories[other]),
             other);
       }
-      const std::size_t need = config.k - 1;
+      const std::size_t need = k - 1;
       std::partial_sort(
           nearest.begin(),
           nearest.begin() + static_cast<std::ptrdiff_t>(need),
@@ -376,7 +376,9 @@ W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
         time_error_sum / static_cast<double>(error_count);
   }
   result.anonymized = cdr::FingerprintDataset{
-      std::move(published), data.name() + "-w4m-k" + std::to_string(config.k)};
+      std::move(published), data.name() + "-w4m-k" + std::to_string(k)};
+  stats.output_groups = result.anonymized.size();
+  stats.output_samples = result.anonymized.total_samples();
   return result;
 }
 

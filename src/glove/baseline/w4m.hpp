@@ -24,20 +24,23 @@
 #include <vector>
 
 #include "glove/cdr/dataset.hpp"
+#include "glove/core/glove.hpp"
 #include "glove/util/hooks.hpp"
 
 namespace glove::baseline {
 
-/// W4M-LC parameters.  Defaults follow the paper's comparative setup
-/// (Sec. 7.2): delta = 2 km and 10% trashing.
+/// W4M-LC parameters; the anonymity level k comes alongside.  Defaults
+/// follow the paper's comparative setup (Sec. 7.2): delta = 2 km and 10%
+/// trashing.
 struct W4MConfig {
-  std::uint32_t k = 2;
   /// Diameter of the uncertainty cylinder, metres.
   double delta_m = 2'000.0;
-  /// Maximum fraction of trajectories that may be discarded as outliers.
+  /// Maximum fraction of trajectories that may be discarded as outliers,
+  /// in [0, 1).
   double trash_fraction = 0.10;
   /// Chunk size for the LC variant: clustering runs within chunks of this
-  /// many trajectories, bounding the O(n^2) distance computations.
+  /// many trajectories, bounding the O(n^2) distance computations.  Must
+  /// be >= k.
   std::size_t chunk_size = 512;
   /// Tolerance for matching a published timestamp to an original sample
   /// (minutes); published points farther than this from every original
@@ -45,16 +48,12 @@ struct W4MConfig {
   double match_tolerance_min = 1.0;
 };
 
-/// Cost accounting matching the rows of Tab. 2.
-struct W4MStats {
-  std::uint64_t input_users = 0;
-  std::uint64_t input_samples = 0;
-  /// Users discarded by the trash bin ("Discarded fingerprints").
-  std::uint64_t discarded_fingerprints = 0;
-  /// Synthetic member-samples fabricated by time alignment ("Created").
-  std::uint64_t created_samples = 0;
-  /// Original samples with no published counterpart ("Deleted").
-  std::uint64_t deleted_samples = 0;
+/// Cost accounting matching the rows of Tab. 2: discarded fingerprints
+/// are the users the trash bin dropped, created samples the synthetic
+/// member-samples time alignment fabricated, deleted samples the original
+/// samples left without a published counterpart.  merges and
+/// stretch_evaluations stay zero.
+struct W4MStats : core::CostCounters {
   /// Mean displacement between a member's true (interpolated) position and
   /// the published cluster position at each published timestamp, metres.
   double mean_position_error_m = 0.0;
@@ -80,7 +79,7 @@ struct W4MResult {
 /// polled per pivot and per cluster.  Requires data.size() >= k >= 2;
 /// throws std::invalid_argument otherwise.  Deterministic.
 [[nodiscard]] W4MResult anonymize_w4m(const cdr::FingerprintDataset& data,
-                                      const W4MConfig& config,
+                                      std::uint32_t k, const W4MConfig& config,
                                       const util::RunHooks& hooks = {});
 
 /// Linear spatiotemporal distance between two trajectories (exposed for

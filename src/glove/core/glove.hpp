@@ -27,7 +27,9 @@ enum class LeftoverPolicy {
   kSuppress,
 };
 
-/// GLOVE configuration.
+/// GLOVE configuration: the paper's parameter set, shared by every GLOVE
+/// variant (chunked, pruned, incremental, sharded take it alongside their
+/// own layout knobs) and the base of api::RunConfig.
 struct GloveConfig {
   /// Target anonymity level; every output fingerprint hides >= k users.
   std::uint32_t k = 2;
@@ -39,19 +41,29 @@ struct GloveConfig {
   LeftoverPolicy leftover_policy = LeftoverPolicy::kMergeIntoNearest;
 };
 
-/// Run counters for the paper's cost accounting (Tab. 2 rows and Sec. 6.3).
-struct GloveStats {
+/// The cost rows of the paper's Tab. 2, shared by every anonymization
+/// algorithm (api::RunCounters names it).  Fields an algorithm cannot
+/// produce stay zero (e.g. created_samples for GLOVE, merges for W4M).
+struct CostCounters {
   std::uint64_t input_users = 0;
   std::uint64_t input_samples = 0;
   std::uint64_t output_groups = 0;
   std::uint64_t output_samples = 0;  ///< published (merged) samples
   std::uint64_t merges = 0;
-  /// Original samples dropped by suppression ("Deleted samples" of Tab. 2).
+  /// Original samples dropped by suppression or left without a published
+  /// counterpart ("Deleted samples" of Tab. 2).
   std::uint64_t deleted_samples = 0;
-  /// Users dropped (non-zero only under LeftoverPolicy::kSuppress).
+  /// Synthetic samples fabricated by the algorithm ("Created"; W4M only).
+  std::uint64_t created_samples = 0;
+  /// Users dropped (GLOVE: only under LeftoverPolicy::kSuppress; W4M: the
+  /// trash bin).
   std::uint64_t discarded_fingerprints = 0;
   /// Fingerprint-stretch evaluations performed (throughput accounting).
   std::uint64_t stretch_evaluations = 0;
+};
+
+/// Run counters for the paper's cost accounting (Tab. 2 rows and Sec. 6.3).
+struct GloveStats : CostCounters {
   double init_seconds = 0.0;   ///< initial |M|^2/2 stretch matrix
   double merge_seconds = 0.0;  ///< greedy loop
 

@@ -143,12 +143,13 @@ std::vector<KGapEntry> k_gaps_pruned(const cdr::FingerprintDataset& data,
 }
 
 GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
+                              const GloveConfig& glove,
                               const ChunkedConfig& config,
                               const util::RunHooks& hooks) {
-  if (config.chunk_size < config.glove.k) {
+  if (config.chunk_size < glove.k) {
     throw std::invalid_argument{"chunk size must be at least k"};
   }
-  if (data.size() < config.glove.k) {
+  if (data.size() < glove.k) {
     throw std::invalid_argument{
         "dataset smaller than the target anonymity level k"};
   }
@@ -184,7 +185,7 @@ GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
     hooks.throw_if_cancelled();
     std::size_t end = std::min(begin + config.chunk_size, keys.size());
     // Never leave a tail smaller than k: extend the last chunk instead.
-    if (keys.size() - end < config.glove.k && end < keys.size()) {
+    if (keys.size() - end < glove.k && end < keys.size()) {
       end = keys.size();
     }
     std::vector<cdr::Fingerprint> chunk;
@@ -193,9 +194,7 @@ GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
       chunk.push_back(data[keys[i].index]);
     }
     const cdr::FingerprintDataset chunk_data{std::move(chunk)};
-    const GloveResult part =
-        config.pruned ? anonymize_pruned(chunk_data, config.glove, inner)
-                      : anonymize(chunk_data, config.glove, inner);
+    const GloveResult part = anonymize(chunk_data, glove, inner);
     for (const cdr::Fingerprint& fp : part.anonymized.fingerprints()) {
       output.push_back(fp);
     }
@@ -206,7 +205,7 @@ GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
 
   total.anonymized = cdr::FingerprintDataset{
       std::move(output),
-      data.name() + "-chunked-k" + std::to_string(config.glove.k)};
+      data.name() + "-chunked-k" + std::to_string(glove.k)};
   total.stats.output_groups = total.anonymized.size();
   total.stats.output_samples = total.anonymized.total_samples();
   return total;

@@ -53,19 +53,11 @@ struct FingerprintBounds {
 [[nodiscard]] std::uint64_t locality_sort_key(
     const FingerprintBounds& bounds) noexcept;
 
-/// Chunked GLOVE configuration.
+/// Chunked GLOVE layout; the GLOVE parameters come alongside.
 struct ChunkedConfig {
-  GloveConfig glove;
-  /// Users per chunk; each chunk is anonymized independently.  Must be
-  /// >= glove.k.
+  /// Users per locality-sorted chunk; each chunk is anonymized
+  /// independently.  Must be >= k.
   std::size_t chunk_size = 2'000;
-  /// Run each chunk through the lazy-lower-bound `anonymize_pruned`
-  /// variant instead of the all-exact initialization.  Output is
-  /// byte-identical either way (pruned is exact); only the evaluation
-  /// counters and timings differ.  The sharded backend's reconciliation
-  /// pass enables this because its input is geographically spread — the
-  /// case bounding-box pruning is strongest on.
-  bool pruned = false;
 };
 
 /// Runs GLOVE independently on locality-sorted chunks and concatenates the
@@ -74,6 +66,7 @@ struct ChunkedConfig {
 /// Progress units are input fingerprints; cancellation is polled between
 /// chunks and inside each chunk's greedy loop.
 [[nodiscard]] GloveResult anonymize_chunked(const cdr::FingerprintDataset& data,
+                                            const GloveConfig& glove,
                                             const ChunkedConfig& config,
                                             const util::RunHooks& hooks = {});
 

@@ -1,16 +1,16 @@
-// Configuration of the spatially-sharded anonymization backend (the
-// ROADMAP's next scale move past `chunked`): the geo space is tiled on a
-// regular grid, tiles are packed into load-balanced shards, every shard
-// runs the exact GLOVE pipeline independently (in parallel across a worker
-// pool), and a deterministic reconciliation pass handles fingerprints near
-// shard borders so candidate merge pairs spanning tiles are not lost.
+// Layout of the spatially-sharded anonymization backend: the geo space is
+// tiled on a regular grid, tiles are packed into load-balanced shards,
+// every shard runs the exact GLOVE pipeline independently (in parallel
+// across a worker pool), and a deterministic reconciliation pass handles
+// fingerprints near shard borders so candidate merge pairs spanning tiles
+// are not lost.  The GLOVE parameters themselves (k, stretch limits,
+// suppression, reshape, leftover policy) are a core::GloveConfig passed
+// alongside; api::RunConfig holds this struct as its `sharded` section.
 
 #ifndef GLOVE_SHARD_CONFIG_HPP
 #define GLOVE_SHARD_CONFIG_HPP
 
 #include <cstddef>
-
-#include "glove/core/glove.hpp"
 
 namespace glove::shard {
 
@@ -29,22 +29,20 @@ enum class BorderPolicy {
   kNone,
 };
 
-/// Sharded-run configuration.  `glove` carries the shared GLOVE knobs
-/// (k, stretch limits, suppression, reshape, leftover policy); the rest
-/// shapes the spatial decomposition and the scheduler.
+/// Sharded-run layout: the spatial decomposition and the scheduler.
 struct ShardConfig {
-  core::GloveConfig glove;
-
   /// Edge length of the square spatial tiles fingerprints are bucketed
   /// into (by bounding-box centre).  Smaller tiles mean more, smaller
   /// shards: faster but with more border traffic.  0 = adaptive
-  /// (choose_tile_size derives the edge from the observed anchor
-  /// density).
+  /// (choose_tile_size derives the edge from the anchor density observed
+  /// during the planning pass, targeting a fingerprints-per-tile band and
+  /// shrinking until the densest tile fits max_shard_users); the resolved
+  /// value is reported as the "tile_size_m" run metric.
   double tile_size_m = 25'000.0;
 
   /// Load-balancing target: the planner packs whole tiles into shards of
   /// at most this many fingerprints (a single tile larger than the budget
-  /// stays one shard — shrink `tile_size_m` instead).  Must be >= glove.k.
+  /// stays one shard — shrink `tile_size_m` instead).  Must be >= k.
   std::size_t max_shard_users = 2'000;
 
   /// Shard-scheduler worker threads; 0 follows the shared-pool default

@@ -27,13 +27,14 @@ using Clock = std::chrono::steady_clock;
 void absorb_into_nearest(cdr::Fingerprint leftover,
                          std::vector<cdr::Fingerprint>& anonymized,
                          std::vector<core::FingerprintBounds>& group_bounds,
-                         const ShardConfig& config, ReconcileStats& stats) {
+                         const core::GloveConfig& glove,
+                         ReconcileStats& stats) {
   const core::FingerprintBounds bounds = core::fingerprint_bounds(leftover);
   std::vector<std::pair<double, std::size_t>> order;
   order.reserve(anonymized.size());
   for (std::size_t g = 0; g < anonymized.size(); ++g) {
     order.emplace_back(core::stretch_lower_bound(bounds, group_bounds[g],
-                                                 config.glove.limits),
+                                                 glove.limits),
                        g);
   }
   std::make_heap(order.begin(), order.end(), std::greater<>{});
@@ -46,7 +47,7 @@ void absorb_into_nearest(cdr::Fingerprint leftover,
     order.pop_back();
     if (lb >= best) break;  // ascending bounds: no later candidate can win
     const double d = core::fingerprint_stretch(leftover, anonymized[g],
-                                               config.glove.limits);
+                                               glove.limits);
     ++stats.glove.stretch_evaluations;
     if (d < best) {
       best = d;
@@ -55,9 +56,9 @@ void absorb_into_nearest(cdr::Fingerprint leftover,
   }
 
   core::MergeOptions options;
-  options.limits = config.glove.limits;
-  options.reshape = config.glove.reshape;
-  options.suppression = config.glove.suppression;
+  options.limits = glove.limits;
+  options.reshape = glove.reshape;
+  options.suppression = glove.suppression;
   core::MergeStats merge_stats;
   anonymized[best_g] = core::merge_fingerprints(leftover, anonymized[best_g],
                                                 options, &merge_stats);
@@ -71,7 +72,7 @@ void absorb_into_nearest(cdr::Fingerprint leftover,
 
 ReconcilePlan plan_reconcile(std::span<const core::FingerprintBounds> bounds,
                              std::span<const std::uint32_t> group_sizes,
-                             const ShardConfig& config) {
+                             std::uint32_t k, const ShardConfig& config) {
   if (bounds.size() != group_sizes.size()) {
     throw std::invalid_argument{
         "plan_reconcile: bounds and group_sizes must align"};
@@ -88,7 +89,7 @@ ReconcilePlan plan_reconcile(std::span<const core::FingerprintBounds> bounds,
   };
   std::vector<Key> keys;
   for (std::uint32_t i = 0; i < group_sizes.size(); ++i) {
-    if (group_sizes[i] >= config.glove.k) {
+    if (group_sizes[i] >= k) {
       plan.passthrough.push_back(i);
     } else {
       keys.push_back(Key{core::locality_sort_key(bounds[i]), i});
@@ -96,7 +97,7 @@ ReconcilePlan plan_reconcile(std::span<const core::FingerprintBounds> bounds,
   }
   plan.subk_count = keys.size();
 
-  if (keys.size() < config.glove.k) {
+  if (keys.size() < k) {
     // Not enough sub-k leftovers for a GLOVE run of their own: the
     // leftover-policy tail, still in leftover order.
     plan.tail.reserve(keys.size());
@@ -110,12 +111,12 @@ ReconcilePlan plan_reconcile(std::span<const core::FingerprintBounds> bounds,
   });
 
   const std::size_t chunk_size =
-      std::max<std::size_t>(config.max_shard_users, config.glove.k);
+      std::max<std::size_t>(config.max_shard_users, k);
   std::size_t begin = 0;
   while (begin < keys.size()) {
     std::size_t end = std::min(begin + chunk_size, keys.size());
     // Never leave a tail smaller than k: extend the last chunk instead.
-    if (keys.size() - end < config.glove.k && end < keys.size()) {
+    if (keys.size() - end < k && end < keys.size()) {
       end = keys.size();
     }
     std::vector<std::uint32_t> chunk;
@@ -136,11 +137,11 @@ void count_suppressed_leftover(const cdr::Fingerprint& leftover,
 }
 
 void reconcile_chunk(std::vector<cdr::Fingerprint> members,
-                     const ShardConfig& config, ReconcileStats& stats,
+                     const core::GloveConfig& glove, ReconcileStats& stats,
                      const std::function<void(cdr::Fingerprint&&)>& emit,
                      const util::RunHooks& hooks) {
   core::GloveResult part = core::anonymize_pruned(
-      cdr::FingerprintDataset{std::move(members)}, config.glove, hooks);
+      cdr::FingerprintDataset{std::move(members)}, glove, hooks);
   stats.glove.accumulate_costs(part.stats);
   // Dataset-shape fields sum across chunks (the chunks partition the
   // sub-k set, so the totals equal one anonymize_chunked run over it).
@@ -156,6 +157,7 @@ void reconcile_chunk(std::vector<cdr::Fingerprint> members,
 
 ReconcileStats reconcile_leftovers(std::vector<cdr::Fingerprint> leftovers,
                                    std::vector<cdr::Fingerprint>& anonymized,
+                                   const core::GloveConfig& glove,
                                    const ShardConfig& config,
                                    const util::RunHooks& hooks) {
   ReconcileStats stats;
@@ -172,7 +174,8 @@ ReconcileStats reconcile_leftovers(std::vector<cdr::Fingerprint> leftovers,
         }
       },
       /*min_chunk=*/64);
-  const ReconcilePlan plan = plan_reconcile(bounds, group_sizes, config);
+  const ReconcilePlan plan =
+      plan_reconcile(bounds, group_sizes, glove.k, config);
 
   const auto total = static_cast<std::uint64_t>(leftovers.size());
   std::uint64_t done = 0;
@@ -200,7 +203,7 @@ ReconcileStats reconcile_leftovers(std::vector<cdr::Fingerprint> leftovers,
       members.push_back(std::move(leftovers[position]));
     }
     reconcile_chunk(
-        std::move(members), config, stats,
+        std::move(members), glove, stats,
         [&](cdr::Fingerprint&& fp) { anonymized.push_back(std::move(fp)); },
         util::subrange_hooks(hooks, done, chunk.size(), total));
     done += chunk.size();
@@ -210,7 +213,7 @@ ReconcileStats reconcile_leftovers(std::vector<cdr::Fingerprint> leftovers,
   // Fewer than k deferred fingerprints: the configured leftover policy
   // decides, mirroring the core greedy loop's tail handling.
   if (!plan.tail.empty()) {
-    switch (config.glove.leftover_policy) {
+    switch (glove.leftover_policy) {
       case core::LeftoverPolicy::kMergeIntoNearest: {
         if (anonymized.empty()) {
           // Unreachable for validated inputs: an empty shard output means
@@ -229,7 +232,7 @@ ReconcileStats reconcile_leftovers(std::vector<cdr::Fingerprint> leftovers,
         for (const std::uint32_t position : plan.tail) {
           hooks.throw_if_cancelled();
           absorb_into_nearest(std::move(leftovers[position]), anonymized,
-                              group_bounds, config, stats);
+                              group_bounds, glove, stats);
           hooks.report(++done, total);
         }
         break;

@@ -1,20 +1,19 @@
 // Cross-shard reconciliation: the deterministic final pass that makes the
 // sharded output k-anonymous as a whole.
 //
-// Its input is every fingerprint the runner deferred (border fingerprints
-// under BorderPolicy::kHalo plus whole shards whose kept set fell below
-// k).  Groups already at or above k pass straight through; the sub-k rest
-// is anonymized together over locality-sorted chunks (so cross-tile
-// candidate pairs — the reason the fingerprints were deferred — are merge
-// candidates again).  A remainder smaller than k falls back to the
+// Its input is every fingerprint the border split deferred (border
+// fingerprints under BorderPolicy::kHalo plus whole shards whose kept set
+// fell below k).  Groups already at or above k pass straight through; the
+// sub-k rest is anonymized together over locality-sorted chunks (so
+// cross-tile candidate pairs — the reason the fingerprints were deferred —
+// are merge candidates again).  A remainder smaller than k falls back to the
 // configured leftover policy: absorbed into the nearest finalized group,
 // or suppressed.
 //
 // Two call shapes expose the same algorithm:
 //
 //   * reconcile_leftovers — the monolithic form over materialized
-//     leftovers (the in-memory wrapper and the rare buffered-absorb tail
-//     of a streaming run);
+//     leftovers (the rare buffered-absorb tail of a sharded run);
 //   * plan_reconcile + one pruned-GLOVE run per chunk — the
 //     chunk-resumable form the streaming pipeline drives: the schedule is
 //     computed from per-leftover bounding geometry and group sizes alone
@@ -80,7 +79,8 @@ struct ReconcilePlan {
 /// its inputs and configuration.
 [[nodiscard]] ReconcilePlan plan_reconcile(
     std::span<const core::FingerprintBounds> bounds,
-    std::span<const std::uint32_t> group_sizes, const ShardConfig& config);
+    std::span<const std::uint32_t> group_sizes, std::uint32_t k,
+    const ShardConfig& config);
 
 /// Runs the reconciliation GLOVE over one planned chunk.  `members` must
 /// hold the chunk's fingerprints in planned order; finalized groups are
@@ -93,7 +93,7 @@ struct ReconcilePlan {
 /// reported upstream).  The streaming pipeline runs the same GLOVE call
 /// as a job of its batch runner instead.
 void reconcile_chunk(std::vector<cdr::Fingerprint> members,
-                     const ShardConfig& config, ReconcileStats& stats,
+                     const core::GloveConfig& glove, ReconcileStats& stats,
                      const std::function<void(cdr::Fingerprint&&)>& emit,
                      const util::RunHooks& hooks);
 
@@ -114,8 +114,8 @@ void count_suppressed_leftover(const cdr::Fingerprint& leftover,
 /// between absorbs.
 [[nodiscard]] ReconcileStats reconcile_leftovers(
     std::vector<cdr::Fingerprint> leftovers,
-    std::vector<cdr::Fingerprint>& anonymized, const ShardConfig& config,
-    const util::RunHooks& hooks);
+    std::vector<cdr::Fingerprint>& anonymized, const core::GloveConfig& glove,
+    const ShardConfig& config, const util::RunHooks& hooks);
 
 }  // namespace glove::shard
 

@@ -7,23 +7,21 @@
 // bounded size, so populations far beyond the single-matrix limit become
 // tractable; shard jobs run concurrently on a dedicated worker pool.  The
 // output is k-anonymous as a whole and byte-stable across worker counts.
-// Registered with the Engine as strategy "sharded"; this header is the
-// subsystem's front door for direct library use.
+// Registered with the Engine as strategy "sharded"; direct library callers
+// run anonymize_sharded_stream (stream.hpp), wrapping an in-memory dataset
+// in an api::MemorySource.
 
 #ifndef GLOVE_SHARD_SHARD_HPP
 #define GLOVE_SHARD_SHARD_HPP
 
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "glove/cdr/dataset.hpp"
 #include "glove/shard/config.hpp"
 #include "glove/shard/planner.hpp"
 #include "glove/shard/reconcile.hpp"
-#include "glove/shard/runner.hpp"
 #include "glove/shard/tiling.hpp"
-#include "glove/util/hooks.hpp"
 
 namespace glove::shard {
 
@@ -47,30 +45,12 @@ struct ShardedStats {
   double reconcile_seconds = 0.0;  ///< cross-shard reconciliation pass
 };
 
-struct ShardedResult {
-  cdr::FingerprintDataset anonymized;
-  ShardedStats stats;
-  /// Per-shard sizes and wall-clock, in shard order.
-  std::vector<ShardTiming> shard_timings;
-};
-
-/// Canonical name of a sharded run's output dataset ("<base>-sharded-k<k>").
-/// Shared by the in-memory wrapper and the streaming Engine strategy so
-/// the two paths stay byte-identical down to the CSV header comment.
-[[nodiscard]] std::string sharded_output_name(std::string_view base,
-                                              std::uint32_t k);
-
-/// Runs the sharded pipeline on an in-memory dataset (a thin wrapper over
-/// the streaming core in stream.hpp).  Requires data.size() >= glove.k >=
-/// 2, tile_size_m >= 0 (0 = adaptive), halo_m >= 0 and max_shard_users >=
-/// glove.k (std::invalid_argument otherwise).  Deterministic for a given
-/// input and configuration, independent of `workers` and of the shared
-/// pool size.  Progress units are input fingerprints plus one
-/// reconciliation unit; cancellation aborts with util::CancelledError and
-/// no output.
-[[nodiscard]] ShardedResult anonymize_sharded(
-    const cdr::FingerprintDataset& data, const ShardConfig& config,
-    const util::RunHooks& hooks = {});
+/// Canonical name of a sharded run's output dataset ("<base>-sharded-k<k>"),
+/// which the Engine's sharded strategy hands its sink.
+[[nodiscard]] inline std::string sharded_output_name(std::string_view base,
+                                                     std::uint32_t k) {
+  return std::string{base} + "-sharded-k" + std::to_string(k);
+}
 
 }  // namespace glove::shard
 

@@ -57,7 +57,7 @@ StreamScan scan_stream(api::DatasetSource& source,
   }
   if (const cdr::FingerprintDataset* data = source.materialized()) {
     // Materialized sources are scanned by index with parallel bounds
-    // computation — the pre-streaming runner's exact setup, no copies.
+    // computation, no copies.
     scan.bounds.resize(data->size());
     util::parallel_for(
         data->size(),
@@ -219,10 +219,11 @@ std::vector<JobResult> run_batch(util::ThreadPool& pool,
 }  // namespace
 
 StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
+                                             const core::GloveConfig& glove,
                                              const ShardConfig& config,
                                              const GroupEmitter& emit,
                                              const util::RunHooks& hooks) {
-  if (config.glove.k < 2) {
+  if (glove.k < 2) {
     throw std::invalid_argument{"GLOVE requires k >= 2"};
   }
   if (config.tile_size_m < 0.0) {
@@ -232,7 +233,7 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   if (config.halo_m < 0.0) {
     throw std::invalid_argument{"sharded.halo_m must be non-negative"};
   }
-  if (config.max_shard_users < config.glove.k) {
+  if (config.max_shard_users < glove.k) {
     throw std::invalid_argument{"sharded.max_shard_users must be at least k"};
   }
   hooks.throw_if_cancelled();
@@ -259,7 +260,7 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   const std::size_t n = scan.bounds.size();
   result.pass_fingerprints.push_back(n);
   if (n == 0) throw util::DatasetError{"input dataset is empty"};
-  if (n < config.glove.k) {
+  if (n < glove.k) {
     throw util::DatasetError{
         "dataset smaller than the target anonymity level k"};
   }
@@ -278,8 +279,8 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   resolved.tile_size_m = tiling.tile_size_m;
   result.stats.tile_size_m = tiling.tile_size_m;
 
-  const ShardPlan plan = ShardPlanner{resolved}.plan(tiling);
-  const BorderSplit split = split_borders(tiling, plan, resolved);
+  const ShardPlan plan = ShardPlanner{glove.k, resolved}.plan(tiling);
+  const BorderSplit split = split_borders(tiling, plan, glove.k, resolved);
   const std::size_t shard_count = plan.shards.size();
   result.stats.tiles = plan.tiles;
   result.stats.shards = shard_count;
@@ -317,7 +318,8 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
       leftover_bounds.push_back(tiling.bounds[id]);
       leftover_sizes.push_back(scan.group_sizes[id]);
     }
-    return plan_reconcile(leftover_bounds, leftover_sizes, resolved);
+    return plan_reconcile(leftover_bounds, leftover_sizes, glove.k,
+                          resolved);
   }();
   result.stats.plan_seconds = seconds_since(plan_start);
   hooks.throw_if_cancelled();
@@ -331,7 +333,7 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   // only appends, so groups flow to the emitter as shards complete and
   // the deferred leftovers are materialized later, pass by pass, by the
   // streaming reconciliation.
-  const core::LeftoverPolicy policy = resolved.glove.leftover_policy;
+  const core::LeftoverPolicy policy = glove.leftover_policy;
   const bool buffered =
       policy == core::LeftoverPolicy::kMergeIntoNearest && !rplan.tail.empty();
 
@@ -394,8 +396,8 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
     }
 
     // Materialized sources hand fingerprints out by index (one copy per
-    // batch member, as the pre-streaming runner did); true streams are
-    // re-read whole, keeping only this batch's members.
+    // batch member); true streams are re-read whole, keeping only this
+    // batch's members.
     std::unordered_map<std::uint32_t, std::uint32_t> slot_of_id;
     std::vector<cdr::Fingerprint> store;
     if (inmem == nullptr) {
@@ -452,7 +454,7 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
       hooks.report(done, total_work);
     };
     std::vector<JobResult> batch_results = run_batch(
-        pool, resolved.glove, std::move(jobs), on_result, hooks);
+        pool, glove, std::move(jobs), on_result, hooks);
 
     for (JobResult& r : batch_results) {
       result.stats.glove.accumulate_costs(r.stats);
@@ -478,7 +480,7 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
     // Progress inside the reconcile is reported in leftover units; shift
     // it past the kept fingerprints already counted.
     const ReconcileStats reconcile = reconcile_leftovers(
-        std::move(leftovers), held, resolved,
+        std::move(leftovers), held, glove, resolved,
         util::subrange_hooks(hooks, done, deferred_total, total_work));
     result.stats.glove.accumulate_costs(reconcile.glove);
     result.stats.reconciled_groups = reconcile.reconciled_groups;
@@ -614,7 +616,7 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
           advance(r.timing.shard - next_chunk, r.timing.input_fingerprints);
         };
         std::vector<JobResult> chunk_results = run_batch(
-            pool, resolved.glove, std::move(jobs), on_result, hooks);
+            pool, glove, std::move(jobs), on_result, hooks);
         for (JobResult& r : chunk_results) {
           rstats.glove.accumulate_costs(r.stats);
           rstats.reconciled_groups += r.groups.size();

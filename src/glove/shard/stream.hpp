@@ -23,10 +23,10 @@
 // pool workers for the shard phase, and for the halo reconciliation
 // by reconcile_chunk_users materialized members plus at most `workers`
 // in-flight chunk candidate heaps — instead of O(dataset) or O(borders).
-// The output is byte-identical to the in-memory pipeline
-// (anonymize_sharded is a thin wrapper over this core) for every budget
-// and worker count, including the rare absorb-leftovers tail case, which
-// falls back to buffering the output groups because absorption may
+// The output bytes are the same for every source kind (an in-memory
+// api::MemorySource, a re-parsed file, an indexed glovebin), every budget
+// and every worker count, including the rare absorb-leftovers tail case,
+// which falls back to buffering the output groups because absorption may
 // rewrite any already-finalized group.
 
 #ifndef GLOVE_SHARD_STREAM_HPP
@@ -79,8 +79,9 @@ struct StreamShardedResult {
 /// util::CancelledError (groups already emitted stay with the emitter —
 /// file sinks may hold a partial dataset on failure).
 [[nodiscard]] StreamShardedResult anonymize_sharded_stream(
-    api::DatasetSource& source, const ShardConfig& config,
-    const GroupEmitter& emit, const util::RunHooks& hooks = {});
+    api::DatasetSource& source, const core::GloveConfig& glove,
+    const ShardConfig& config, const GroupEmitter& emit,
+    const util::RunHooks& hooks = {});
 
 }  // namespace glove::shard
 

@@ -8,9 +8,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "common/fixtures.hpp"
+#include "glove/api/cli.hpp"
 #include "glove/core/glove.hpp"
 
 namespace glove::api {
@@ -158,8 +160,8 @@ TEST(Engine, RunReportCarriesCountersAndConfigEcho) {
   EXPECT_GT(report.counters.merges, 0u);
   EXPECT_TRUE(core::is_k_anonymous(report.anonymized, 2));
   EXPECT_EQ(report.config.k, 2u);
-  EXPECT_TRUE(report.config.suppression_enabled);
-  EXPECT_DOUBLE_EQ(report.config.max_spatial_extent_m, 15'000.0);
+  ASSERT_TRUE(report.config.suppression.has_value());
+  EXPECT_DOUBLE_EQ(report.config.suppression->max_spatial_extent_m, 15'000.0);
   EXPECT_GE(report.timings.total_seconds, 0.0);
 }
 
@@ -205,6 +207,61 @@ TEST(Engine, IncrementalStrategyUpdatesPublishedRelease) {
   EXPECT_TRUE(core::is_k_anonymous(second.value().anonymized, 2));
   EXPECT_EQ(second.value().counters.input_users,
             first.value().counters.input_users + 6);
+}
+
+TEST(Engine, ReportConfigKeepsNoCallbackTokenOrPublishedPointer) {
+  const Engine engine;
+  const auto first = engine.run(test::small_synth_dataset(24), RunConfig{});
+  ASSERT_TRUE(first.ok());
+
+  RunConfig config;
+  config.strategy = kStrategyIncremental;
+  config.incremental.published = &first.value().anonymized;
+  std::uint64_t reports = 0;
+  config.progress = [&reports](std::uint64_t, std::uint64_t) { ++reports; };
+  config.cancel = util::CancellationToken{};
+  const auto result = engine.run(
+      test::random_dataset(/*users=*/6, /*seed=*/11,
+                           /*max_samples_per_user=*/6, /*first_user=*/10'000),
+      config);
+  ASSERT_TRUE(result.ok()) << result.error().message;
+  EXPECT_GT(reports, 0u);  // the run itself used the callback
+
+  // The report outlives the run: it must not hold the caller's callback
+  // (and what it captures), the token or the caller-owned release.
+  const RunConfig& echoed = result.value().config;
+  EXPECT_FALSE(echoed.progress);
+  EXPECT_FALSE(echoed.cancel.has_value());
+  EXPECT_EQ(echoed.incremental.published, nullptr);
+  EXPECT_EQ(echoed.strategy, kStrategyIncremental);
+  EXPECT_EQ(echoed.k, 2u);
+}
+
+/// Parses `args` through the Engine run flags into a RunConfig.
+RunConfig config_from_args(const std::vector<const char*>& args) {
+  const Engine engine;
+  util::Flags flags{"test"};
+  define_run_flags(flags, engine);
+  flags.parse(static_cast<int>(args.size()), args.data());
+  return run_config_from_flags(flags);
+}
+
+TEST(Engine, RunFlagsRejectValuesThatDoNotFitTheirField) {
+  const RunConfig config = config_from_args(
+      {"--k=4294967295", "--chunk-size=7", "--shard-users=9",
+       "--shard-workers=3", "--reconcile-chunk-users=11"});
+  EXPECT_EQ(config.k, 4'294'967'295u);
+  EXPECT_EQ(config.chunked.chunk_size, 7u);
+  EXPECT_EQ(config.sharded.max_shard_users, 9u);
+  EXPECT_EQ(config.sharded.workers, 3u);
+  EXPECT_EQ(config.sharded.reconcile_chunk_users, 11u);
+
+  // A cast would wrap these: 2^32 + 2 to k = 2, -1 to the field's maximum.
+  for (const char* bad :
+       {"--k=4294967298", "--k=-1", "--chunk-size=-1", "--shard-users=-1",
+        "--shard-workers=-1", "--reconcile-chunk-users=-1"}) {
+    EXPECT_THROW((void)config_from_args({bad}), std::invalid_argument) << bad;
+  }
 }
 
 }  // namespace

@@ -73,12 +73,13 @@ TEST_P(ParityTest, ChunkedMatchesFreeFunction) {
   config.strategy = kStrategyChunked;
   config.k = k;
   config.chunked.chunk_size = 16;
+  core::GloveConfig glove;
+  glove.k = k;
   core::ChunkedConfig legacy;
-  legacy.glove.k = k;
   legacy.chunk_size = 16;
-  EXPECT_EQ(
-      engine_csv(engine, data, config),
-      test::dataset_to_csv(core::anonymize_chunked(data, legacy).anonymized));
+  EXPECT_EQ(engine_csv(engine, data, config),
+            test::dataset_to_csv(
+                core::anonymize_chunked(data, glove, legacy).anonymized));
 }
 
 TEST_P(ParityTest, W4MMatchesFreeFunction) {
@@ -88,11 +89,10 @@ TEST_P(ParityTest, W4MMatchesFreeFunction) {
   RunConfig config;
   config.strategy = kStrategyW4M;
   config.k = k;
-  baseline::W4MConfig legacy;
-  legacy.k = k;
-  EXPECT_EQ(
-      engine_csv(engine, data, config),
-      test::dataset_to_csv(baseline::anonymize_w4m(data, legacy).anonymized));
+  const baseline::W4MConfig legacy;
+  EXPECT_EQ(engine_csv(engine, data, config),
+            test::dataset_to_csv(
+                baseline::anonymize_w4m(data, k, legacy).anonymized));
 }
 
 TEST_P(ParityTest, IncrementalMatchesFreeFunction) {

@@ -37,6 +37,73 @@ TEST(RunReport, JsonSchemaMatchesGoldenFile) {
                               to_json(deterministic_report()));
 }
 
+TEST(RunReport, ConfigSerializesEveryNonDefaultValueByKey) {
+  // Every configurable value set away from its default, each to a
+  // distinct value, so a field serialized from the wrong source or under
+  // the wrong key shows up.  The golden above only holds defaults for the
+  // strategy sections.
+  RunConfig config;
+  config.k = 3;
+  config.limits = core::StretchLimits{12'345.0, 321.0, 0.25, 0.75};
+  config.suppression = core::SuppressionThresholds{9'000.0, 120.0};
+  config.reshape = false;
+  config.leftover_policy = core::LeftoverPolicy::kSuppress;
+  config.chunked.chunk_size = 123;
+  config.sharded.tile_size_m = 4'321.5;
+  config.sharded.max_shard_users = 77;
+  config.sharded.workers = 3;
+  config.sharded.border = shard::BorderPolicy::kNone;
+  config.sharded.halo_m = 250.5;
+  config.sharded.reconcile_chunk_users = 999;
+  config.w4m.delta_m = 1'500.5;
+  config.w4m.trash_fraction = 0.2;
+  config.w4m.chunk_size = 64;
+  config.w4m.match_tolerance_min = 2.5;
+  const auto result = Engine{}.run(test::paired_dataset(), config);
+  ASSERT_TRUE(result.ok()) << result.error().message;
+
+  const std::string json = to_json(result.value());
+  const std::size_t begin = json.find("  \"config\": {");
+  const std::size_t end = json.find("  \"counters\": {");
+  ASSERT_NE(begin, std::string::npos);
+  ASSERT_NE(end, std::string::npos);
+  EXPECT_EQ(json.substr(begin, end - begin), R"(  "config": {
+    "strategy": "full",
+    "k": 3,
+    "limits": {
+      "phi_max_sigma_m": 12345.0,
+      "phi_max_tau_min": 321.0,
+      "w_sigma": 0.25,
+      "w_tau": 0.75
+    },
+    "suppression": {
+      "enabled": true,
+      "max_spatial_extent_m": 9000.0,
+      "max_temporal_extent_min": 120.0
+    },
+    "reshape": false,
+    "leftover_policy": "suppress",
+    "chunked": {
+      "chunk_size": 123
+    },
+    "sharded": {
+      "tile_size_m": 4321.5,
+      "max_shard_users": 77,
+      "workers": 3,
+      "border": "none",
+      "halo_m": 250.5,
+      "reconcile_chunk_users": 999
+    },
+    "w4m": {
+      "delta_m": 1500.5,
+      "trash_fraction": 0.2,
+      "chunk_size": 64,
+      "match_tolerance_min": 2.5
+    }
+  },
+)");
+}
+
 TEST(RunReport, CsvRowAlignsWithHeader) {
   const RunReport report = deterministic_report();
   const auto header = util::split_csv_line(report_csv_header());

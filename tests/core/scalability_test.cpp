@@ -96,10 +96,11 @@ TEST(ChunkedGlove, AchievesKAnonymityPerChunk) {
   synth::SynthConfig config = synth::civ_like(80, 41);
   config.days = 3.0;
   const cdr::FingerprintDataset data = synth::generate_dataset(config);
+  GloveConfig glove;
+  glove.k = 2;
   ChunkedConfig chunked;
-  chunked.glove.k = 2;
   chunked.chunk_size = 20;
-  const GloveResult result = anonymize_chunked(data, chunked);
+  const GloveResult result = anonymize_chunked(data, glove, chunked);
   EXPECT_TRUE(is_k_anonymous(result.anonymized, 2));
   EXPECT_EQ(result.anonymized.total_users(), data.total_users());
 }
@@ -110,7 +111,7 @@ TEST(ChunkedGlove, NoUserLostAcrossChunks) {
   const cdr::FingerprintDataset data = synth::generate_dataset(config);
   ChunkedConfig chunked;
   chunked.chunk_size = 15;
-  const GloveResult result = anonymize_chunked(data, chunked);
+  const GloveResult result = anonymize_chunked(data, {}, chunked);
   std::set<cdr::UserId> users;
   for (const auto& fp : result.anonymized.fingerprints()) {
     users.insert(fp.members().begin(), fp.members().end());
@@ -126,11 +127,12 @@ TEST(ChunkedGlove, TailSmallerThanKAbsorbedIntoLastChunk) {
     fps.emplace_back(u, std::vector<cdr::Sample>{
                             cell(u * 300.0, 0, u * 50.0)});
   }
+  GloveConfig glove;
+  glove.k = 3;
   ChunkedConfig chunked;
-  chunked.glove.k = 3;
   chunked.chunk_size = 5;
-  const GloveResult result =
-      anonymize_chunked(cdr::FingerprintDataset{std::move(fps)}, chunked);
+  const GloveResult result = anonymize_chunked(
+      cdr::FingerprintDataset{std::move(fps)}, glove, chunked);
   EXPECT_TRUE(is_k_anonymous(result.anonymized, 3));
   EXPECT_EQ(result.anonymized.total_users(), 11u);
 }
@@ -139,10 +141,11 @@ TEST(ChunkedGlove, SingleChunkEqualsPlainGlove) {
   synth::SynthConfig config = synth::civ_like(30, 47);
   config.days = 2.0;
   const cdr::FingerprintDataset data = synth::generate_dataset(config);
+  const GloveConfig glove;
   ChunkedConfig chunked;
   chunked.chunk_size = 1'000;  // everything in one chunk
-  const GloveResult plain = anonymize(data, chunked.glove);
-  const GloveResult one_chunk = anonymize_chunked(data, chunked);
+  const GloveResult plain = anonymize(data, glove);
+  const GloveResult one_chunk = anonymize_chunked(data, glove, chunked);
   EXPECT_EQ(one_chunk.anonymized.size(), plain.anonymized.size());
   EXPECT_EQ(one_chunk.stats.merges, plain.stats.merges);
 }
@@ -151,10 +154,11 @@ TEST(ChunkedGlove, RejectsBadConfig) {
   synth::SynthConfig config = synth::civ_like(20, 49);
   config.days = 1.0;
   const cdr::FingerprintDataset data = synth::generate_dataset(config);
+  GloveConfig glove;
+  glove.k = 5;
   ChunkedConfig chunked;
-  chunked.glove.k = 5;
   chunked.chunk_size = 3;
-  EXPECT_THROW((void)anonymize_chunked(data, chunked),
+  EXPECT_THROW((void)anonymize_chunked(data, glove, chunked),
                std::invalid_argument);
 }
 

@@ -16,10 +16,8 @@
 namespace glove::shard {
 namespace {
 
-ShardConfig config_with(std::uint32_t k, std::size_t max_users,
-                        double tile_m) {
+ShardConfig config_with(std::size_t max_users, double tile_m) {
   ShardConfig config;
-  config.glove.k = k;
   config.max_shard_users = max_users;
   config.tile_size_m = tile_m;
   return config;
@@ -41,22 +39,22 @@ void expect_partition(const ShardPlan& plan, std::size_t dataset_size) {
 
 TEST(ShardPlanner, PartitionsEveryFingerprintOnce) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
-  const ShardConfig config = config_with(2, 12, 10'000.0);
+  const ShardConfig config = config_with(12, 10'000.0);
   const Tiling tiling = build_tiling(data, config.tile_size_m);
-  const ShardPlan plan = ShardPlanner{config}.plan(tiling);
+  const ShardPlan plan = ShardPlanner{2, config}.plan(tiling);
 
   EXPECT_GE(plan.shards.size(), 2u);
   expect_partition(plan, data.size());
   for (const PlannedShard& shard : plan.shards) {
-    EXPECT_GE(shard.members.size(), config.glove.k);
+    EXPECT_GE(shard.members.size(), 2u);
   }
 }
 
 TEST(ShardPlanner, CellMapCoversEveryTile) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(40);
-  const ShardConfig config = config_with(2, 10, 10'000.0);
+  const ShardConfig config = config_with(10, 10'000.0);
   const Tiling tiling = build_tiling(data, config.tile_size_m);
-  const ShardPlan plan = ShardPlanner{config}.plan(tiling);
+  const ShardPlan plan = ShardPlanner{2, config}.plan(tiling);
 
   EXPECT_EQ(plan.tiles, tiling.tiles.size());
   EXPECT_EQ(plan.shard_of_cell.size(), tiling.tiles.size());
@@ -71,9 +69,9 @@ TEST(ShardPlanner, CellMapCoversEveryTile) {
 
 TEST(ShardPlanner, RespectsBudgetUpToTheFloor) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(80);
-  const ShardConfig config = config_with(2, 15, 5'000.0);
+  const ShardConfig config = config_with(15, 5'000.0);
   const Tiling tiling = build_tiling(data, config.tile_size_m);
-  const ShardPlan plan = ShardPlanner{config}.plan(tiling);
+  const ShardPlan plan = ShardPlanner{2, config}.plan(tiling);
 
   // A shard may exceed the budget only by one tile (closing happens when
   // the *next* tile would overflow) or through the tail fold; it can
@@ -97,9 +95,9 @@ TEST(ShardPlanner, OversizedTileBecomesItsOwnShard) {
                             test::cell(50.0, 50.0, 10.0 + u)});
   }
   const cdr::FingerprintDataset data{std::move(fps), "dense"};
-  const ShardConfig config = config_with(2, 8, 25'000.0);
+  const ShardConfig config = config_with(8, 25'000.0);
   const Tiling tiling = build_tiling(data, config.tile_size_m);
-  const ShardPlan plan = ShardPlanner{config}.plan(tiling);
+  const ShardPlan plan = ShardPlanner{2, config}.plan(tiling);
 
   ASSERT_EQ(plan.shards.size(), 1u);
   EXPECT_EQ(plan.shards[0].members.size(), 30u);
@@ -116,9 +114,9 @@ TEST(ShardPlanner, TailBelowKFoldsIntoPreviousShard) {
   fps.emplace_back(6u, std::vector<cdr::Sample>{
                            test::cell(200'000.0, 0.0, 10.0)});
   const cdr::FingerprintDataset data{std::move(fps), "tail"};
-  const ShardConfig config = config_with(2, 6, 25'000.0);
+  const ShardConfig config = config_with(6, 25'000.0);
   const Tiling tiling = build_tiling(data, config.tile_size_m);
-  const ShardPlan plan = ShardPlanner{config}.plan(tiling);
+  const ShardPlan plan = ShardPlanner{2, config}.plan(tiling);
 
   ASSERT_EQ(plan.shards.size(), 1u);
   EXPECT_EQ(plan.shards[0].members.size(), 7u);
@@ -127,10 +125,10 @@ TEST(ShardPlanner, TailBelowKFoldsIntoPreviousShard) {
 
 TEST(ShardPlanner, RejectsDatasetSmallerThanK) {
   const cdr::FingerprintDataset data = test::paired_dataset();  // 7 users
-  const ShardConfig config = config_with(100, 200, 25'000.0);
+  const ShardConfig config = config_with(200, 25'000.0);
   const Tiling tiling = build_tiling(data, config.tile_size_m);
-  EXPECT_THROW((void)ShardPlanner{config}.plan(tiling),
-               std::invalid_argument);
+  const ShardPlanner planner{/*k=*/100, config};
+  EXPECT_THROW((void)planner.plan(tiling), std::invalid_argument);
 }
 
 }  // namespace

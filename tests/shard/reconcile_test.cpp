@@ -18,14 +18,6 @@
 namespace glove::shard {
 namespace {
 
-ShardConfig reconcile_config(std::uint32_t k = 2,
-                             std::size_t max_shard_users = 4) {
-  ShardConfig config;
-  config.glove.k = k;
-  config.max_shard_users = max_shard_users;
-  return config;
-}
-
 /// A single-user fingerprint anchored at (x_km, y_km) km — far enough
 /// apart per kilometre that the 1 km locality quantization orders anchors
 /// exactly by their coordinates.
@@ -51,6 +43,26 @@ std::vector<std::uint32_t> sizes_of(const std::vector<cdr::Fingerprint>& fps) {
   return sizes;
 }
 
+/// The GLOVE parameters and shard layout a reconciliation runs with.
+struct ReconcileSetup {
+  core::GloveConfig glove;
+  ShardConfig shard;
+};
+
+ReconcileSetup reconcile_setup(std::uint32_t k = 2,
+                               std::size_t max_shard_users = 4) {
+  ReconcileSetup setup;
+  setup.glove.k = k;
+  setup.shard.max_shard_users = max_shard_users;
+  return setup;
+}
+
+ReconcilePlan plan_for(const std::vector<cdr::Fingerprint>& leftovers,
+                       const ReconcileSetup& setup) {
+  return plan_reconcile(bounds_of(leftovers), sizes_of(leftovers),
+                        setup.glove.k, setup.shard);
+}
+
 TEST(ReconcilePlan, SplitsPassthroughAndLocalitySortedChunks) {
   // Leftovers in (shard, member) order: a >= k group first, then sub-k
   // singles placed so their locality order reverses their arrival order.
@@ -62,9 +74,8 @@ TEST(ReconcilePlan, SplitsPassthroughAndLocalitySortedChunks) {
   leftovers.push_back(user_at(2, 20.0, 0.0));
   leftovers.push_back(user_at(3, 10.0, 0.0));
 
-  const ShardConfig config = reconcile_config(/*k=*/2, /*max_shard_users=*/2);
-  const ReconcilePlan plan =
-      plan_reconcile(bounds_of(leftovers), sizes_of(leftovers), config);
+  const ReconcilePlan plan = plan_for(
+      leftovers, reconcile_setup(/*k=*/2, /*max_shard_users=*/2));
 
   EXPECT_EQ(plan.passthrough, (std::vector<std::uint32_t>{0}));
   EXPECT_EQ(plan.subk_count, 4u);
@@ -81,9 +92,8 @@ TEST(ReconcilePlan, NeverLeavesATailChunkSmallerThanK) {
   for (cdr::UserId u = 0; u < 5; ++u) {
     leftovers.push_back(user_at(u, 10.0 * (u + 1), 0.0));
   }
-  const ShardConfig config = reconcile_config(/*k=*/2, /*max_shard_users=*/4);
-  const ReconcilePlan plan =
-      plan_reconcile(bounds_of(leftovers), sizes_of(leftovers), config);
+  const ReconcilePlan plan = plan_for(
+      leftovers, reconcile_setup(/*k=*/2, /*max_shard_users=*/4));
   // 5 sub-k members with chunk size 4: a naive split would leave a
   // 1-member tail < k, so the last chunk extends to hold all 5.
   ASSERT_EQ(plan.chunks.size(), 1u);
@@ -94,9 +104,7 @@ TEST(ReconcilePlan, FewerThanKSubKLeftoversBecomeTheTail) {
   std::vector<cdr::Fingerprint> leftovers;
   leftovers.push_back(user_at(0, 30.0, 0.0));
   leftovers.push_back(user_at(1, 10.0, 0.0));
-  const ShardConfig config = reconcile_config(/*k=*/3);
-  const ReconcilePlan plan =
-      plan_reconcile(bounds_of(leftovers), sizes_of(leftovers), config);
+  const ReconcilePlan plan = plan_for(leftovers, reconcile_setup(/*k=*/3));
   EXPECT_TRUE(plan.chunks.empty());
   // The tail keeps leftover order, not locality order.
   EXPECT_EQ(plan.tail, (std::vector<std::uint32_t>{0, 1}));
@@ -106,9 +114,9 @@ TEST(ReconcilePlan, FewerThanKSubKLeftoversBecomeTheTail) {
 TEST(ReconcilePlan, MisalignedSpansAreRejected) {
   std::vector<cdr::Fingerprint> leftovers{user_at(0, 1.0, 0.0)};
   const std::vector<std::uint32_t> sizes;  // wrong length
-  EXPECT_THROW(
-      (void)plan_reconcile(bounds_of(leftovers), sizes, reconcile_config()),
-      std::invalid_argument);
+  EXPECT_THROW((void)plan_reconcile(bounds_of(leftovers), sizes, 2,
+                                    reconcile_setup().shard),
+               std::invalid_argument);
 }
 
 TEST(Reconcile, ChunkResumableMatchesMonolithicByteForByte) {
@@ -118,15 +126,14 @@ TEST(Reconcile, ChunkResumableMatchesMonolithicByteForByte) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(24);
   std::vector<cdr::Fingerprint> leftovers{data.fingerprints().begin(),
                                           data.fingerprints().end()};
-  const ShardConfig config = reconcile_config(/*k=*/2, /*max_shard_users=*/5);
+  const ReconcileSetup setup = reconcile_setup(/*k=*/2, /*max_shard_users=*/5);
 
   std::vector<cdr::Fingerprint> monolithic;
   const ReconcileStats whole = reconcile_leftovers(
       {data.fingerprints().begin(), data.fingerprints().end()}, monolithic,
-      config, {});
+      setup.glove, setup.shard, {});
 
-  const ReconcilePlan plan =
-      plan_reconcile(bounds_of(leftovers), sizes_of(leftovers), config);
+  const ReconcilePlan plan = plan_for(leftovers, setup);
   ASSERT_GE(plan.chunks.size(), 2u);  // the resumable path really resumes
   std::vector<cdr::Fingerprint> resumable;
   ReconcileStats stats;
@@ -136,7 +143,7 @@ TEST(Reconcile, ChunkResumableMatchesMonolithicByteForByte) {
       members.push_back(std::move(leftovers[position]));
     }
     reconcile_chunk(
-        std::move(members), config, stats,
+        std::move(members), setup.glove, stats,
         [&](cdr::Fingerprint&& fp) { resumable.push_back(std::move(fp)); },
         {});
   }
@@ -170,10 +177,10 @@ TEST(Reconcile, SuppressedTailCountsOriginalSamplesDeleted) {
   anonymized.push_back(cdr::Fingerprint{
       {1u, 2u}, {test::cell(0.0, 0.0, 0.0), test::cell(0.0, 100.0, 3.0)}});
 
-  ShardConfig config = reconcile_config(/*k=*/2);
-  config.glove.leftover_policy = core::LeftoverPolicy::kSuppress;
-  const ReconcileStats stats =
-      reconcile_leftovers(std::move(leftovers), anonymized, config, {});
+  ReconcileSetup setup = reconcile_setup(/*k=*/2);
+  setup.glove.leftover_policy = core::LeftoverPolicy::kSuppress;
+  const ReconcileStats stats = reconcile_leftovers(
+      std::move(leftovers), anonymized, setup.glove, setup.shard, {});
   EXPECT_EQ(stats.glove.discarded_fingerprints, 1u);
   EXPECT_EQ(stats.glove.deleted_samples, original_samples);
   EXPECT_EQ(anonymized.size(), 1u);  // nothing appended
@@ -189,9 +196,9 @@ TEST(Reconcile, AbsorbTailMergesIntoNearestGroup) {
       {3u, 4u},
       {test::cell(90'000.0, 0.0, 0.0), test::cell(90'100.0, 0.0, 3.0)}});
 
-  const ShardConfig config = reconcile_config(/*k=*/2);
-  const ReconcileStats stats =
-      reconcile_leftovers(std::move(leftovers), anonymized, config, {});
+  const ReconcileSetup setup = reconcile_setup(/*k=*/2);
+  const ReconcileStats stats = reconcile_leftovers(
+      std::move(leftovers), anonymized, setup.glove, setup.shard, {});
   EXPECT_EQ(stats.absorbed, 1u);
   EXPECT_EQ(stats.glove.merges, 1u);
   ASSERT_EQ(anonymized.size(), 2u);

@@ -13,6 +13,7 @@
 
 #include "common/fixtures.hpp"
 #include "common/golden.hpp"
+#include "common/sharded_run.hpp"
 #include "glove/api/engine.hpp"
 #include "glove/core/accuracy.hpp"
 #include "glove/core/glove.hpp"
@@ -23,13 +24,18 @@ namespace {
 /// Config that splits the ~50 km-wide synthetic population into several
 /// small shards, so every phase (halo deferral, parallel shard runs,
 /// reconciliation) is exercised.
-ShardConfig small_shard_config(std::uint32_t k = 2) {
+ShardConfig small_shard_config() {
   ShardConfig config;
-  config.glove.k = k;
   config.tile_size_m = 5'000.0;
   config.max_shard_users = 16;
   config.halo_m = 500.0;
   return config;
+}
+
+core::GloveConfig glove_k(std::uint32_t k) {
+  core::GloveConfig glove;
+  glove.k = k;
+  return glove;
 }
 
 std::vector<cdr::UserId> sorted_members(const cdr::FingerprintDataset& data) {
@@ -46,9 +52,10 @@ TEST(Sharded, OutputIsKAnonymousAndLosesNoUser) {
   for (const std::uint32_t k : {2u, 3u, 5u}) {
     for (const BorderPolicy border : {BorderPolicy::kHalo,
                                       BorderPolicy::kNone}) {
-      ShardConfig config = small_shard_config(k);
+      ShardConfig config = small_shard_config();
       config.border = border;
-      const ShardedResult result = anonymize_sharded(data, config);
+      const test::ShardedRun result =
+          test::run_sharded(data, glove_k(k), config);
       EXPECT_TRUE(core::is_k_anonymous(result.anonymized, k))
           << "k=" << k << " border=" << static_cast<int>(border);
       EXPECT_EQ(sorted_members(result.anonymized), sorted_members(data))
@@ -63,7 +70,8 @@ TEST(Sharded, MatchesGoldenDataset) {
   // golden was blessed on the dedicated-pool backend (PR 3) and the
   // streaming rewrite must reproduce it byte for byte.
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
-  const ShardedResult result = anonymize_sharded(data, small_shard_config());
+  const test::ShardedRun result =
+      test::run_sharded(data, glove_k(2), small_shard_config());
   test::expect_matches_golden("sharded_synth60_k2.csv",
                               test::dataset_to_csv(result.anonymized));
 }
@@ -74,7 +82,7 @@ TEST(Sharded, ByteStableAcrossWorkerCounts) {
   for (const std::size_t workers : {1u, 2u, 4u}) {
     ShardConfig config = small_shard_config();
     config.workers = workers;
-    const ShardedResult result = anonymize_sharded(data, config);
+    const test::ShardedRun result = test::run_sharded(data, glove_k(2), config);
     const std::string csv = test::dataset_to_csv(result.anonymized);
     if (reference.empty()) {
       reference = csv;
@@ -86,9 +94,10 @@ TEST(Sharded, ByteStableAcrossWorkerCounts) {
 
 TEST(Sharded, SuppressLeftoverPolicyIsHonoured) {
   const cdr::FingerprintDataset data = test::small_synth_dataset(50);
-  ShardConfig config = small_shard_config(3);
-  config.glove.leftover_policy = core::LeftoverPolicy::kSuppress;
-  const ShardedResult result = anonymize_sharded(data, config);
+  core::GloveConfig glove = glove_k(3);
+  glove.leftover_policy = core::LeftoverPolicy::kSuppress;
+  const test::ShardedRun result =
+      test::run_sharded(data, glove, small_shard_config());
   EXPECT_TRUE(core::is_k_anonymous(result.anonymized, 3));
   // Users either survive in a group or are counted as discarded.
   EXPECT_EQ(sorted_members(result.anonymized).size() +
@@ -113,8 +122,8 @@ TEST(Sharded, AccuracyStaysWithinToleranceOfFull) {
   const auto full_summary =
       core::summarize_accuracy(core::measure_accuracy(full.anonymized));
 
-  ShardConfig config = small_shard_config(2);
-  const ShardedResult sharded = anonymize_sharded(data, config);
+  const test::ShardedRun sharded =
+      test::run_sharded(data, full_config, small_shard_config());
   const auto sharded_summary =
       core::summarize_accuracy(core::measure_accuracy(sharded.anonymized));
 

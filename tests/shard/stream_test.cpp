@@ -23,6 +23,7 @@
 
 #include "common/fixtures.hpp"
 #include "common/golden.hpp"
+#include "common/sharded_run.hpp"
 #include "glove/api/source.hpp"
 #include "glove/cdr/io.hpp"
 #include "glove/obs/metrics.hpp"
@@ -32,9 +33,12 @@
 namespace glove::shard {
 namespace {
 
-ShardConfig small_config(std::uint32_t k = 2) {
+/// GLOVE at k = 2, the parameters every run below uses unless it says
+/// otherwise.
+const core::GloveConfig kGlove;
+
+ShardConfig small_config() {
   ShardConfig config;
-  config.glove.k = k;
   config.tile_size_m = 5'000.0;
   config.max_shard_users = 16;
   config.halo_m = 500.0;
@@ -63,12 +67,12 @@ class TextStream final : public api::DatasetSource {
   std::optional<cdr::DatasetStreamReader> reader_;
 };
 
-std::vector<cdr::Fingerprint> run_stream(api::DatasetSource& stream,
-                                         const ShardConfig& config,
-                                         StreamShardedResult* result_out) {
+std::vector<cdr::Fingerprint> run_stream(
+    api::DatasetSource& stream, const ShardConfig& config,
+    StreamShardedResult* result_out, const core::GloveConfig& glove = kGlove) {
   std::vector<cdr::Fingerprint> groups;
   StreamShardedResult result = anonymize_sharded_stream(
-      stream, config,
+      stream, glove, config,
       [&](cdr::Fingerprint&& fp) { groups.push_back(std::move(fp)); });
   if (result_out != nullptr) *result_out = std::move(result);
   return groups;
@@ -80,7 +84,7 @@ TEST(ShardStream, TextBackedStreamMatchesInMemoryPipeline) {
   cdr::write_dataset_csv(serialized, data);
 
   const ShardConfig config = small_config();
-  const ShardedResult reference = anonymize_sharded(data, config);
+  const test::ShardedRun reference = test::run_sharded(data, kGlove, config);
 
   TextStream stream{serialized.str()};
   StreamShardedResult streamed;
@@ -209,7 +213,7 @@ TEST(ShardStream, BorderedReconcileBudgetsAreByteIdenticalToInMemory) {
   cdr::write_dataset_csv(serialized, data);
   const ShardConfig config = small_config();
 
-  const ShardedResult reference = anonymize_sharded(data, config);
+  const test::ShardedRun reference = test::run_sharded(data, kGlove, config);
   test::expect_matches_golden("sharded_synth60_k2.csv",
                               test::dataset_to_csv(reference.anonymized));
   // Streamed groups are compared name-stripped (the emitter yields bare
@@ -287,7 +291,7 @@ TEST(ShardStream, ReconcileChunksRunConcurrentlyWithIdenticalBytes) {
                            StreamShardedResult* result) {
     TextStream stream{serialized.str()};
     cdr::FingerprintDataset out{run_stream(stream, config, result)};
-    out.set_name(sharded_output_name(data.name(), config.glove.k));
+    out.set_name(sharded_output_name(data.name(), kGlove.k));
     return test::dataset_to_csv(out);
   };
 
@@ -328,7 +332,8 @@ TEST(ShardStream, ReconcileChunksRunConcurrentlyWithIdenticalBytes) {
   // another worker starts the next chunk meanwhile — two
   // stream.reconcile.chunk spans on different threads must overlap.
   const std::uint64_t kept =
-      data.size() - anonymize_sharded(data, config).stats.deferred_fingerprints;
+      data.size() -
+      test::run_sharded(data, kGlove, config).stats.deferred_fingerprints;
   std::atomic<bool> held{false};
   util::RunHooks hooks;
   hooks.progress = [&](std::uint64_t done, std::uint64_t) {
@@ -339,7 +344,7 @@ TEST(ShardStream, ReconcileChunksRunConcurrentlyWithIdenticalBytes) {
   const GroupEmitter discard = [](cdr::Fingerprint&&) {};
   TextStream stream{serialized.str()};
   obs::start_tracing();
-  (void)anonymize_sharded_stream(stream, config, discard, hooks);
+  (void)anonymize_sharded_stream(stream, kGlove, config, discard, hooks);
   const std::vector<ChunkSpan> spans =
       reconcile_chunk_spans(obs::stop_tracing_and_render());
   ASSERT_GE(spans.size(), 3u);
@@ -414,7 +419,7 @@ TEST(ShardStream, ProgressCountsDeferredFingerprintsDuringReconcile) {
     reports.emplace_back(done, total);
   };
   StreamShardedResult result = anonymize_sharded_stream(
-      stream, small_config(), [](cdr::Fingerprint&&) {}, hooks);
+      stream, kGlove, small_config(), [](cdr::Fingerprint&&) {}, hooks);
   ASSERT_GT(result.stats.deferred_fingerprints, 0u);
   ASSERT_FALSE(reports.empty());
   const std::uint64_t total = static_cast<std::uint64_t>(data.size()) + 1;
@@ -452,7 +457,7 @@ TEST(ShardStream, CancellationFiresMidReconcileChunk) {
   };
   TextStream stream{serialized.str()};
   EXPECT_THROW((void)anonymize_sharded_stream(
-                   stream, config, [](cdr::Fingerprint&&) {}, hooks),
+                   stream, kGlove, config, [](cdr::Fingerprint&&) {}, hooks),
                util::CancelledError);
 }
 
@@ -496,10 +501,13 @@ TEST(ShardStream, EmptyAndSubKStreamsRaiseDatasetError) {
                util::DatasetError);
 
   const cdr::FingerprintDataset three = test::small_synth_dataset(3);
-  ShardConfig demanding = small_config(100);
+  core::GloveConfig demanding_glove;
+  demanding_glove.k = 100;
+  ShardConfig demanding = small_config();
   demanding.max_shard_users = 128;  // keep the *config* itself valid
   api::MemorySource short_stream{three};
-  EXPECT_THROW((void)run_stream(short_stream, demanding, nullptr),
+  EXPECT_THROW(
+      (void)run_stream(short_stream, demanding, nullptr, demanding_glove),
                util::DatasetError);
 }
 
