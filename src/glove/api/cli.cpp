@@ -158,7 +158,7 @@ void define_synth_flags(util::Flags& flags, std::size_t default_users,
 }
 
 cdr::FingerprintDataset synth_dataset_from_flags(const util::Flags& flags) {
-  const auto users = static_cast<std::size_t>(flags.get_int("users"));
+  const auto users = unsigned_flag<std::size_t>(flags, "users");
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   synth::SynthConfig config = flags.get("preset") == "sen"
                                   ? synth::sen_like(users, seed)

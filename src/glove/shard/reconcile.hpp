@@ -10,25 +10,20 @@
 // configured leftover policy: absorbed into the nearest finalized group,
 // or suppressed.
 //
-// Two call shapes expose the same algorithm:
-//
-//   * reconcile_leftovers — the monolithic form over materialized
-//     leftovers (the rare buffered-absorb tail of a sharded run);
-//   * plan_reconcile + one pruned-GLOVE run per chunk — the
-//     chunk-resumable form the streaming pipeline drives: the schedule is
-//     computed from per-leftover bounding geometry and group sizes alone
-//     (both already resident after the pass-1 scan), then the chunks are
-//     materialized by rewound passes and run as batch jobs (each
-//     exactly what reconcile_chunk does).  Chunk membership, member order
-//     and per-chunk execution are exactly anonymize_chunked's, so the two
-//     shapes emit identical bytes.
+// The streaming pipeline (stream.hpp) drives it: plan_reconcile computes
+// the schedule from per-leftover bounding geometry and group sizes alone
+// (both already resident after the pass-1 scan), rewound passes
+// materialize the units, each chunk runs as a batch job of
+// core::anonymize_pruned, and reconcile_tail applies the leftover policy
+// to the tail.  Chunk membership, member order and per-chunk execution
+// are exactly anonymize_chunked's, so concatenating the chunk outputs
+// reproduces anonymize_chunked over the sub-k set byte for byte.
 
 #ifndef GLOVE_SHARD_RECONCILE_HPP
 #define GLOVE_SHARD_RECONCILE_HPP
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -38,16 +33,6 @@
 #include "glove/util/hooks.hpp"
 
 namespace glove::shard {
-
-struct ReconcileStats {
-  /// Groups produced by the reconciliation GLOVE run.
-  std::size_t reconciled_groups = 0;
-  /// Leftovers merged into an existing shard-output group.
-  std::size_t absorbed = 0;
-  /// Inner GLOVE counters of the reconciliation run.
-  core::GloveStats glove;
-  double seconds = 0.0;
-};
 
 /// The reconciliation schedule, derived from per-leftover bounding
 /// geometry and group sizes alone — never the samples.  Every entry is a
@@ -82,40 +67,27 @@ struct ReconcilePlan {
     std::span<const std::uint32_t> group_sizes, std::uint32_t k,
     const ShardConfig& config);
 
-/// Runs the reconciliation GLOVE over one planned chunk.  `members` must
-/// hold the chunk's fingerprints in planned order; finalized groups are
-/// handed to `emit` in output order and the inner counters (including the
-/// chunk's input/output dataset shape) accumulate into `stats`.  Driving
-/// every chunk of a plan through this reproduces anonymize_chunked over
-/// the whole sub-k set byte for byte — each chunk is an independent
-/// pruned-GLOVE run.  `hooks` forward into the inner run (progress in the
-/// inner run's own units; adapt before calling when a different scale is
-/// reported upstream).  The streaming pipeline runs the same GLOVE call
-/// as a job of its batch runner instead.
-void reconcile_chunk(std::vector<cdr::Fingerprint> members,
-                     const core::GloveConfig& glove, ReconcileStats& stats,
-                     const std::function<void(cdr::Fingerprint&&)>& emit,
-                     const util::RunHooks& hooks);
-
-/// Counts one suppressed sub-k leftover into `stats`: its hidden users as
-/// discarded, its original samples (summed contributors) as deleted — the
-/// single deletion definition every suppression path shares.  Used by the
-/// monolithic tail below and by the streaming pipeline's tail unit.
-void count_suppressed_leftover(const cdr::Fingerprint& leftover,
-                               ReconcileStats& stats);
-
-/// Reconciles `leftovers` against the shard outputs in `anonymized`
-/// (modified in place: reconciled groups are appended, absorbing groups
-/// are replaced).  Deterministic: leftovers keep their (shard, member)
-/// order and absorption scans groups in stable order with strict-minimum
-/// tie-breaking.  Progress is reported in leftovers consumed out of
-/// `leftovers.size()` (fractional within a running GLOVE chunk);
-/// cancellation is polled between chunks, inside each chunk's loops and
-/// between absorbs.
-[[nodiscard]] ReconcileStats reconcile_leftovers(
-    std::vector<cdr::Fingerprint> leftovers,
-    std::vector<cdr::Fingerprint>& anonymized, const core::GloveConfig& glove,
-    const ShardConfig& config, const util::RunHooks& hooks);
+/// Applies the configured leftover policy to the plan's `tail` (fewer
+/// than k sub-k leftovers, in leftover order), mirroring the core greedy
+/// loop's tail handling, and returns how many leftovers were absorbed.
+///
+///   * kSuppress: each leftover's hidden users count as discarded and its
+///     original samples (summed contributors) as deleted — the single
+///     deletion definition every suppression path shares.  `groups` is
+///     left alone.
+///   * kMergeIntoNearest: each leftover merges into the minimum-stretch
+///     group of `groups`, replacing it.  Absorption scans groups in stable
+///     order with strict-minimum tie-breaking; an empty `groups` with a
+///     non-empty tail raises std::logic_error.
+///
+/// Merges, stretch evaluations, discards and deletions accumulate into
+/// `stats`.  Progress is reported in leftovers out of `tail.size()`;
+/// cancellation is polled between leftovers.
+[[nodiscard]] std::size_t reconcile_tail(std::vector<cdr::Fingerprint> tail,
+                                         std::vector<cdr::Fingerprint>& groups,
+                                         const core::GloveConfig& glove,
+                                         core::GloveStats& stats,
+                                         const util::RunHooks& hooks);
 
 }  // namespace glove::shard
 

@@ -122,6 +122,73 @@ std::uint64_t materialize_pass(
   return index;
 }
 
+/// The units a pass loop walks, each the dataset ids one unit
+/// materializes: a shard's kept set in the shard-batch loop; the
+/// pass-throughs, one GLOVE chunk or the policy tail in the reconcile
+/// loop.
+using Units = std::vector<const std::vector<std::uint32_t>*>;
+
+/// One materialization pass, the step the shard-batch and reconcile loops
+/// share.  The constructor closes the pass: units from `first` on join it
+/// until the next one would push its members past `budget` (a single
+/// oversized unit still forms a pass of its own).  materialize() then
+/// makes the pass's fingerprints available to take(): a materialized()
+/// source hands them out by index (one copy each) and is never
+/// re-streamed; any other source is re-read once, keeping only the pass's
+/// ids (index-capable sources seek straight to the blocks holding them).
+class Pass {
+ public:
+  Pass(const Units& units, std::size_t first, std::size_t budget)
+      : last{first}, first_{first}, units_{&units} {
+    while (last < units.size()) {
+      const std::size_t size = units[last]->size();
+      if (last > first && members + size > budget) break;
+      members += size;
+      ++last;
+    }
+  }
+
+  /// Materializes the pass's units out of `source`, which yields `n`
+  /// fingerprints per pass.  Returns whether the source was re-read; if so
+  /// the pass's fingerprint count is appended to `pass_fingerprints`.
+  bool materialize(api::DatasetSource& source, std::size_t n,
+                   std::vector<std::uint64_t>& pass_fingerprints,
+                   const util::RunHooks& hooks) {
+    inmem_ = source.materialized();
+    if (inmem_ != nullptr) return false;
+    slot_of_id_.reserve(members);
+    std::uint32_t next_slot = 0;
+    for (std::size_t u = first_; u < last; ++u) {
+      for (const std::uint32_t id : *(*units_)[u]) {
+        slot_of_id_[id] = next_slot++;
+      }
+    }
+    store_.resize(next_slot);
+    pass_fingerprints.push_back(
+        materialize_pass(source, slot_of_id_, store_, n, hooks));
+    return true;
+  }
+
+  /// Hands out the fingerprint with dataset index `id` (once per id).
+  cdr::Fingerprint take(std::uint32_t id) {
+    if (inmem_ != nullptr) return (*inmem_)[id];
+    return std::move(store_[slot_of_id_.at(id)]);
+  }
+
+  /// Frees the moved-from store once every member has been taken.
+  void release() { store_ = {}; }
+
+  std::size_t last;  ///< one past the pass's last unit
+  std::size_t members = 0;
+
+ private:
+  std::size_t first_;
+  const Units* units_;
+  const cdr::FingerprintDataset* inmem_ = nullptr;
+  std::unordered_map<std::uint32_t, std::uint32_t> slot_of_id_;
+  std::vector<cdr::Fingerprint> store_;
+};
+
 /// One GLOVE job of a batch: a planned shard, or one halo-reconciliation
 /// chunk.  Both run the same pruned GLOVE over `inputs`; the kind only
 /// picks the trace span and the plane counters the job is billed to
@@ -298,56 +365,61 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   // The reconciliation is planned here, from pass-1 residue alone
   // (per-fingerprint bounds kept by the tiling, group sizes from the
   // scan): its chunk count sizes the pool next to the shard count,
-  // and its tail decides the buffered mode below.  Leftover ids are in
-  // (shard, member) order — the exact sequence the buffered path
-  // materializes.
-  std::vector<std::uint32_t> leftover_ids;
-  leftover_ids.reserve(deferred_total);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    for (const std::uint32_t id : split.deferred[s]) {
-      leftover_ids.push_back(id);
-    }
-  }
+  // and its tail decides the buffered mode below.  Leftovers are taken
+  // in (shard, member) order; the returned plan addresses dataset ids,
+  // like the shard split.
   const ReconcilePlan rplan = [&] {
     GLOVE_SPAN("stream.plan.reconcile");
+    std::vector<std::uint32_t> leftover_ids;
     std::vector<core::FingerprintBounds> leftover_bounds;
     std::vector<std::uint32_t> leftover_sizes;
-    leftover_bounds.reserve(leftover_ids.size());
-    leftover_sizes.reserve(leftover_ids.size());
-    for (const std::uint32_t id : leftover_ids) {
-      leftover_bounds.push_back(tiling.bounds[id]);
-      leftover_sizes.push_back(scan.group_sizes[id]);
+    leftover_ids.reserve(deferred_total);
+    leftover_bounds.reserve(deferred_total);
+    leftover_sizes.reserve(deferred_total);
+    for (std::size_t s = 0; s < shard_count; ++s) {
+      for (const std::uint32_t id : split.deferred[s]) {
+        leftover_ids.push_back(id);
+        leftover_bounds.push_back(tiling.bounds[id]);
+        leftover_sizes.push_back(scan.group_sizes[id]);
+      }
     }
-    return plan_reconcile(leftover_bounds, leftover_sizes, glove.k,
-                          resolved);
+    ReconcilePlan by_id = plan_reconcile(leftover_bounds, leftover_sizes,
+                                         glove.k, resolved);
+    const auto to_ids = [&](std::vector<std::uint32_t>& positions) {
+      for (std::uint32_t& p : positions) p = leftover_ids[p];
+    };
+    to_ids(by_id.passthrough);
+    for (std::vector<std::uint32_t>& chunk : by_id.chunks) to_ids(chunk);
+    to_ids(by_id.tail);
+    return by_id;
   }();
   result.stats.plan_seconds = seconds_since(plan_start);
   hooks.throw_if_cancelled();
 
   // Absorbing a sub-k tail (fewer than k deferred singles under
   // kMergeIntoNearest) rewrites the nearest already-finalized group, so
-  // nothing may leave before reconciliation; that rare case buffers the
-  // output groups instead of streaming them out (and materializes its
-  // leftovers during the shard batch passes — they are at most k-1 sub-k
-  // fingerprints plus the >=k pass-throughs).  Every other tail shape
-  // only appends, so groups flow to the emitter as shards complete and
-  // the deferred leftovers are materialized later, pass by pass, by the
-  // streaming reconciliation.
-  const core::LeftoverPolicy policy = glove.leftover_policy;
+  // nothing may leave before reconciliation; that rare case holds the
+  // output groups until the reconcile pass has absorbed the tail instead
+  // of streaming them out.  Every other tail shape only appends, so
+  // groups flow to the emitter as shards and chunks complete.
   const bool buffered =
-      policy == core::LeftoverPolicy::kMergeIntoNearest && !rplan.tail.empty();
+      glove.leftover_policy == core::LeftoverPolicy::kMergeIntoNearest &&
+      !rplan.tail.empty();
 
   std::uint64_t emitted_groups = 0;
   std::uint64_t emitted_samples = 0;
+  const auto publish = [&](cdr::Fingerprint&& fp) {
+    ++emitted_groups;
+    emitted_samples += fp.size();
+    emit(std::move(fp));
+  };
   std::vector<cdr::Fingerprint> held;  // buffered mode only
   const auto deliver = [&](cdr::Fingerprint&& fp) {
     if (buffered) {
       held.push_back(std::move(fp));
-      return;
+    } else {
+      publish(std::move(fp));
     }
-    ++emitted_groups;
-    emitted_samples += fp.size();
-    emit(std::move(fp));
   };
 
   // --- Passes 2..: materialize and run contiguous shard batches on the
@@ -363,90 +435,44 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
 
   const std::uint64_t total_work = n + 1;  // +1: the final reconcile tick
   hooks.report(0, total_work);
-  std::vector<cdr::Fingerprint> leftovers;  // buffered mode only
-  if (buffered) leftovers.reserve(deferred_total);
   std::mutex progress_mutex;
   std::uint64_t done = 0;
-  const cdr::FingerprintDataset* inmem = source.materialized();
 
+  Units shard_units;
+  shard_units.reserve(shard_count);
+  for (const std::vector<std::uint32_t>& kept : split.kept) {
+    shard_units.push_back(&kept);
+  }
   for (std::size_t first = 0; first < shard_count;) {
-    // Close the batch before the budget breaks; a single oversized shard
-    // still forms its own batch.  Deferred fingerprints ride along (and
-    // count against the budget) only in buffered mode — the streaming
-    // reconciliation materializes them in its own passes otherwise.
-    std::size_t last = first;
-    std::size_t batch_members = 0;
-    while (last < shard_count) {
-      std::size_t members = split.kept[last].size();
-      if (buffered) members += split.deferred[last].size();
-      if (last > first && batch_members + members > batch_budget) break;
-      batch_members += members;
-      ++last;
-    }
+    Pass batch{shard_units, first, batch_budget};
     GLOVE_SPAN_NAMED(batch_span, "stream.shard_batch");
     batch_span.arg("first_shard", first);
-    batch_span.arg("shards", last - first);
-    batch_span.arg("members", batch_members);
+    batch_span.arg("shards", batch.last - first);
+    batch_span.arg("members", batch.members);
     c_batches.add();
     if (obs::log_verbose()) {
       obs::log_info("stream.batch",
                     obs::log_kv("first_shard", first) + ' ' +
-                        obs::log_kv("shards", last - first) + ' ' +
-                        obs::log_kv("members", batch_members));
+                        obs::log_kv("shards", batch.last - first) + ' ' +
+                        obs::log_kv("members", batch.members));
     }
-
-    // Materialized sources hand fingerprints out by index (one copy per
-    // batch member); true streams are re-read whole, keeping only this
-    // batch's members.
-    std::unordered_map<std::uint32_t, std::uint32_t> slot_of_id;
-    std::vector<cdr::Fingerprint> store;
-    if (inmem == nullptr) {
-      slot_of_id.reserve(batch_members);
-      std::uint32_t next_slot = 0;
-      for (std::size_t s = first; s < last; ++s) {
-        for (const std::uint32_t id : split.kept[s]) {
-          slot_of_id[id] = next_slot++;
-        }
-        if (buffered) {
-          for (const std::uint32_t id : split.deferred[s]) {
-            slot_of_id[id] = next_slot++;
-          }
-        }
-      }
-      store.resize(next_slot);
-      result.pass_fingerprints.push_back(
-          materialize_pass(source, slot_of_id, store, n, hooks));
-    }
-    const auto fetch = [&](std::uint32_t id) -> cdr::Fingerprint {
-      if (inmem != nullptr) return (*inmem)[id];
-      return std::move(store[slot_of_id.at(id)]);
-    };
-
-    // Buffered leftovers keep their (shard, member) order across batches.
-    if (buffered) {
-      for (std::size_t s = first; s < last; ++s) {
-        for (const std::uint32_t id : split.deferred[s]) {
-          leftovers.push_back(fetch(id));
-        }
-      }
-    }
+    batch.materialize(source, n, result.pass_fingerprints, hooks);
 
     // Turn the batch into shard jobs (empty kept sets run nothing and
     // keep their zeroed timing row); results come back in job = shard
     // order.
     std::vector<Job> jobs;
-    jobs.reserve(last - first);
-    for (std::size_t s = first; s < last; ++s) {
+    jobs.reserve(batch.last - first);
+    for (std::size_t s = first; s < batch.last; ++s) {
       if (split.kept[s].empty()) continue;
       Job& job = jobs.emplace_back();
       job.index = s;
       job.inputs.reserve(split.kept[s].size());
       for (const std::uint32_t id : split.kept[s]) {
-        job.inputs.push_back(fetch(id));
+        job.inputs.push_back(batch.take(id));
       }
     }
-    store.clear();
-    store.shrink_to_fit();
+    batch.release();
 
     const JobResultFn on_result = [&](const JobResult& r) {
       const std::lock_guard lock{progress_mutex};
@@ -467,179 +493,132 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
         deliver(std::move(fp));
       }
     }
-    first = last;
+    first = batch.last;
   }
 
-  // --- Reconcile cross-shard leftovers.  Appended groups (deferred >= k
-  // pass-throughs, then the chunked reconciliation output) trail the
-  // shard groups exactly as in the buffered layout.
+  // --- Reconcile cross-shard leftovers: materialize one budget's worth
+  // of reconcile units per rewound pass — the leftover analogue of the
+  // shard batches — and run the pass's GLOVE chunks as one batch.  Chunk
+  // membership is fixed by the plan, so the chunks are independent jobs
+  // exactly like shards.  No fingerprint is held before the pass that
+  // consumes it.  Appended groups (deferred >= k pass-throughs, then the
+  // chunks' output) trail the shard groups.
   hooks.throw_if_cancelled();
   GLOVE_SPAN_NAMED(reconcile_span, "stream.reconcile");
   reconcile_span.arg("deferred", deferred_total);
-  if (buffered) {
-    // Progress inside the reconcile is reported in leftover units; shift
-    // it past the kept fingerprints already counted.
-    const ReconcileStats reconcile = reconcile_leftovers(
-        std::move(leftovers), held, glove, resolved,
-        util::subrange_hooks(hooks, done, deferred_total, total_work));
-    result.stats.glove.accumulate_costs(reconcile.glove);
-    result.stats.reconciled_groups = reconcile.reconciled_groups;
-    result.stats.absorbed_leftovers = reconcile.absorbed;
-    result.stats.reconcile_seconds = reconcile.seconds;
-    for (cdr::Fingerprint& fp : held) {
-      ++emitted_groups;
-      emitted_samples += fp.size();
-      emit(std::move(fp));
-    }
-  } else {
-    // Streaming reconciliation: materialize one budget's worth of
-    // reconcile units per rewound pass — the leftover analogue of the
-    // shard batches — and run the pass's GLOVE chunks as one batch.
-    // Chunk membership is fixed by the plan, so the chunks are
-    // independent jobs exactly like shards.  No fingerprint is held
-    // before the pass that consumes it.
-    const auto reconcile_start = Clock::now();
-    ReconcileStats rstats;
+  const auto reconcile_start = Clock::now();
 
-    // A pass covers a contiguous run of units in phase order: the >= k
-    // pass-throughs, each GLOVE chunk, then the policy tail.  (The tail
-    // here is suppress-only: a sub-k tail under kMergeIntoNearest took
-    // the buffered branch above.)
-    std::vector<const std::vector<std::uint32_t>*> units;
-    units.reserve(rplan.chunks.size() + 2);
-    if (!rplan.passthrough.empty()) units.push_back(&rplan.passthrough);
-    for (const std::vector<std::uint32_t>& chunk : rplan.chunks) {
-      units.push_back(&chunk);
-    }
-    if (!rplan.tail.empty()) units.push_back(&rplan.tail);
-    const auto is_chunk = [&](std::size_t u) {
-      return units[u] != &rplan.passthrough && units[u] != &rplan.tail;
-    };
-    const std::size_t reconcile_budget =
-        resolved.reconcile_chunk_users > 0 ? resolved.reconcile_chunk_users
-                                           : batch_budget;
-
-    std::size_t next_chunk = 0;  // plan index of the pass's first chunk
-    for (std::size_t first_u = 0; first_u < units.size();) {
-      std::size_t last_u = first_u;
-      std::size_t pass_members = 0;
-      while (last_u < units.size()) {
-        const std::size_t members = units[last_u]->size();
-        if (last_u > first_u && pass_members + members > reconcile_budget) {
-          break;
-        }
-        pass_members += members;
-        ++last_u;
-      }
-      GLOVE_SPAN_NAMED(pass_span, "stream.reconcile.pass");
-      pass_span.arg("units", last_u - first_u);
-      pass_span.arg("members", pass_members);
-      if (obs::log_verbose()) {
-        obs::log_info("stream.reconcile",
-                      obs::log_kv("units", last_u - first_u) + ' ' +
-                          obs::log_kv("members", pass_members));
-      }
-
-      std::unordered_map<std::uint32_t, std::uint32_t> slot_of_id;
-      std::vector<cdr::Fingerprint> store;
-      if (inmem == nullptr) {
-        std::uint32_t next_slot = 0;
-        for (std::size_t u = first_u; u < last_u; ++u) {
-          for (const std::uint32_t position : *units[u]) {
-            slot_of_id[leftover_ids[position]] = next_slot++;
-          }
-        }
-        if (next_slot > 0) {
-          store.resize(next_slot);
-          result.pass_fingerprints.push_back(
-              materialize_pass(source, slot_of_id, store, n, hooks));
-          ++result.stats.reconcile_passes;
-        }
-      }
-      const auto fetch = [&](std::uint32_t position) -> cdr::Fingerprint {
-        const std::uint32_t id = leftover_ids[position];
-        if (inmem != nullptr) return (*inmem)[id];
-        return std::move(store[slot_of_id.at(id)]);
-      };
-
-      // Units are contiguous in phase order, so a pass is: pass-throughs
-      // (first pass only), then chunks, then the tail (last pass only).
-      std::size_t u = first_u;
-      if (u < last_u && units[u] == &rplan.passthrough) {
-        for (const std::uint32_t position : rplan.passthrough) {
-          deliver(fetch(position));
-        }
-        done += rplan.passthrough.size();
-        hooks.report(done, total_work);
-        ++u;
-      }
-
-      // The pass's chunks: one batch, results in plan order.  Per-chunk
-      // progress (in util::subrange_hooks units) is summed across
-      // concurrent chunks under the lock, so the reported total stays
-      // monotone.
-      const std::uint64_t chunk_base = done;
-      std::uint64_t chunk_sum = 0;
-      std::vector<std::uint64_t> chunk_done;
-      const auto advance = [&](std::size_t j, std::uint64_t units_done) {
-        if (units_done <= chunk_done[j]) return;
-        chunk_sum += units_done - chunk_done[j];
-        chunk_done[j] = units_done;
-        hooks.report(chunk_base + chunk_sum, total_work);
-      };
-      std::vector<Job> jobs;
-      for (; u < last_u && is_chunk(u); ++u) {
-        const std::size_t j = jobs.size();
-        Job& job = jobs.emplace_back();
-        job.reconcile_chunk = true;
-        job.index = next_chunk + j;
-        job.inputs.reserve(units[u]->size());
-        for (const std::uint32_t position : *units[u]) {
-          job.inputs.push_back(fetch(position));
-        }
-        if (hooks.progress) {
-          util::RunHooks forward;
-          forward.progress = [&, j](std::uint64_t units_done, std::uint64_t) {
-            const std::lock_guard lock{progress_mutex};
-            advance(j, units_done);
-          };
-          job.progress = util::subrange_hooks(forward, 0, job.inputs.size(),
-                                              total_work)
-                             .progress;
-        }
-        c_chunks.add();
-      }
-      chunk_done.assign(jobs.size(), 0);
-      if (!jobs.empty()) {
-        const JobResultFn on_result = [&](const JobResult& r) {
-          const std::lock_guard lock{progress_mutex};
-          advance(r.timing.shard - next_chunk, r.timing.input_fingerprints);
-        };
-        std::vector<JobResult> chunk_results = run_batch(
-            pool, glove, std::move(jobs), on_result, hooks);
-        for (JobResult& r : chunk_results) {
-          rstats.glove.accumulate_costs(r.stats);
-          rstats.reconciled_groups += r.groups.size();
-          done += r.timing.input_fingerprints;
-          for (cdr::Fingerprint& fp : r.groups) deliver(std::move(fp));
-        }
-        next_chunk += chunk_results.size();
-      }
-
-      if (u < last_u) {  // the suppress tail
-        for (const std::uint32_t position : rplan.tail) {
-          count_suppressed_leftover(fetch(position), rstats);
-          hooks.report(++done, total_work);
-        }
-      }
-      first_u = last_u;
-    }
-
-    result.stats.glove.accumulate_costs(rstats.glove);
-    result.stats.reconciled_groups = rstats.reconciled_groups;
-    result.stats.absorbed_leftovers = rstats.absorbed;
-    result.stats.reconcile_seconds = seconds_since(reconcile_start);
+  // A pass covers a contiguous run of units in phase order: the >= k
+  // pass-throughs, each GLOVE chunk, then the policy tail.
+  Units units;
+  units.reserve(rplan.chunks.size() + 2);
+  if (!rplan.passthrough.empty()) units.push_back(&rplan.passthrough);
+  for (const std::vector<std::uint32_t>& chunk : rplan.chunks) {
+    units.push_back(&chunk);
   }
+  if (!rplan.tail.empty()) units.push_back(&rplan.tail);
+  const auto is_chunk = [&](std::size_t u) {
+    return units[u] != &rplan.passthrough && units[u] != &rplan.tail;
+  };
+  const std::size_t reconcile_budget =
+      resolved.reconcile_chunk_users > 0 ? resolved.reconcile_chunk_users
+                                         : batch_budget;
+
+  std::size_t next_chunk = 0;  // plan index of the pass's first chunk
+  for (std::size_t first_u = 0; first_u < units.size();) {
+    Pass pass{units, first_u, reconcile_budget};
+    GLOVE_SPAN_NAMED(pass_span, "stream.reconcile.pass");
+    pass_span.arg("units", pass.last - first_u);
+    pass_span.arg("members", pass.members);
+    if (obs::log_verbose()) {
+      obs::log_info("stream.reconcile",
+                    obs::log_kv("units", pass.last - first_u) + ' ' +
+                        obs::log_kv("members", pass.members));
+    }
+    if (pass.materialize(source, n, result.pass_fingerprints, hooks)) {
+      ++result.stats.reconcile_passes;
+    }
+
+    // Units are contiguous in phase order, so a pass is: pass-throughs
+    // (first pass only), then chunks, then the tail (last pass only).
+    std::size_t u = first_u;
+    if (u < pass.last && units[u] == &rplan.passthrough) {
+      for (const std::uint32_t id : rplan.passthrough) {
+        deliver(pass.take(id));
+      }
+      done += rplan.passthrough.size();
+      hooks.report(done, total_work);
+      ++u;
+    }
+
+    // The pass's chunks: one batch, results in plan order.  Per-chunk
+    // progress (in util::subrange_hooks units) is summed across
+    // concurrent chunks under the lock, so the reported total stays
+    // monotone.
+    const std::uint64_t chunk_base = done;
+    std::uint64_t chunk_sum = 0;
+    std::vector<std::uint64_t> chunk_done;
+    const auto advance = [&](std::size_t j, std::uint64_t units_done) {
+      if (units_done <= chunk_done[j]) return;
+      chunk_sum += units_done - chunk_done[j];
+      chunk_done[j] = units_done;
+      hooks.report(chunk_base + chunk_sum, total_work);
+    };
+    std::vector<Job> jobs;
+    for (; u < pass.last && is_chunk(u); ++u) {
+      const std::size_t j = jobs.size();
+      Job& job = jobs.emplace_back();
+      job.reconcile_chunk = true;
+      job.index = next_chunk + j;
+      job.inputs.reserve(units[u]->size());
+      for (const std::uint32_t id : *units[u]) {
+        job.inputs.push_back(pass.take(id));
+      }
+      if (hooks.progress) {
+        util::RunHooks forward;
+        forward.progress = [&, j](std::uint64_t units_done, std::uint64_t) {
+          const std::lock_guard lock{progress_mutex};
+          advance(j, units_done);
+        };
+        job.progress = util::subrange_hooks(forward, 0, job.inputs.size(),
+                                            total_work)
+                           .progress;
+      }
+      c_chunks.add();
+    }
+    chunk_done.assign(jobs.size(), 0);
+    if (!jobs.empty()) {
+      const JobResultFn on_result = [&](const JobResult& r) {
+        const std::lock_guard lock{progress_mutex};
+        advance(r.timing.shard - next_chunk, r.timing.input_fingerprints);
+      };
+      std::vector<JobResult> chunk_results = run_batch(
+          pool, glove, std::move(jobs), on_result, hooks);
+      for (JobResult& r : chunk_results) {
+        result.stats.glove.accumulate_costs(r.stats);
+        result.stats.reconciled_groups += r.groups.size();
+        done += r.timing.input_fingerprints;
+        for (cdr::Fingerprint& fp : r.groups) deliver(std::move(fp));
+      }
+      next_chunk += chunk_results.size();
+    }
+
+    // The policy tail: suppressed, or absorbed into the held groups (a
+    // non-empty tail means the plan has no chunks, so every group the
+    // tail may join is already held).
+    if (u < pass.last) {
+      std::vector<cdr::Fingerprint> tail;
+      tail.reserve(rplan.tail.size());
+      for (const std::uint32_t id : rplan.tail) tail.push_back(pass.take(id));
+      result.stats.absorbed_leftovers = reconcile_tail(
+          std::move(tail), held, glove, result.stats.glove,
+          util::subrange_hooks(hooks, done, rplan.tail.size(), total_work));
+      done += rplan.tail.size();
+    }
+    first_u = pass.last;
+  }
+  result.stats.reconcile_seconds = seconds_since(reconcile_start);
+  for (cdr::Fingerprint& fp : held) publish(std::move(fp));
 
   result.stats.glove.output_groups = emitted_groups;
   result.stats.glove.output_samples = emitted_samples;

@@ -25,9 +25,11 @@
 // in-flight chunk candidate heaps — instead of O(dataset) or O(borders).
 // The output bytes are the same for every source kind (an in-memory
 // api::MemorySource, a re-parsed file, an indexed glovebin), every budget
-// and every worker count, including the rare absorb-leftovers tail case,
-// which falls back to buffering the output groups because absorption may
-// rewrite any already-finalized group.
+// and every worker count.  Every reconciliation runs through the same
+// passes, including the rare absorb-leftovers tail (fewer than k sub-k
+// leftovers under kMergeIntoNearest): absorption may rewrite any
+// already-finalized group, so that run holds the output groups until the
+// reconcile pass that reads the tail has absorbed it, then emits them.
 
 #ifndef GLOVE_SHARD_STREAM_HPP
 #define GLOVE_SHARD_STREAM_HPP

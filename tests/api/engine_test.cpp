@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/fixtures.hpp"
@@ -261,6 +262,22 @@ TEST(Engine, RunFlagsRejectValuesThatDoNotFitTheirField) {
        {"--k=4294967298", "--k=-1", "--chunk-size=-1", "--shard-users=-1",
         "--shard-workers=-1", "--reconcile-chunk-users=-1"}) {
     EXPECT_THROW((void)config_from_args({bad}), std::invalid_argument) << bad;
+  }
+}
+
+TEST(Engine, SynthUsersFlagRejectsANegativeCount) {
+  // A cast would wrap -1 to ~2^64 users and die in vector::reserve.
+  util::Flags flags{"test"};
+  define_synth_flags(flags, /*default_users=*/10, /*default_days=*/1.0,
+                     /*default_seed=*/1, "civ");
+  const std::vector<const char*> args{"--users=-1"};
+  flags.parse(static_cast<int>(args.size()), args.data());
+  try {
+    (void)synth_dataset_from_flags(flags);
+    ADD_FAILURE() << "--users=-1 was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string{error.what()}.find("--users"), std::string::npos)
+        << error.what();
   }
 }
 

@@ -1,19 +1,22 @@
-// The chunk-resumable reconciliation: the schedule planned from bounding
+// The cross-shard reconciliation: the schedule planned from bounding
 // geometry and group sizes alone (the streaming pipeline's pass-1
-// residue) must reproduce the monolithic reconcile_leftovers byte for
-// byte, and the leftover-policy counters must keep the shared
+// residue) must partition the sub-k leftovers exactly as
+// anonymize_chunked does, so the planned chunks reproduce it byte for
+// byte, and the leftover-policy tail must keep the shared
 // original-samples definition of deletion.
 
 #include "glove/shard/reconcile.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "common/fixtures.hpp"
 #include "common/golden.hpp"
 #include "glove/core/glove.hpp"
+#include "glove/core/scalability.hpp"
 
 namespace glove::shard {
 namespace {
@@ -119,45 +122,60 @@ TEST(ReconcilePlan, MisalignedSpansAreRejected) {
                std::invalid_argument);
 }
 
-TEST(Reconcile, ChunkResumableMatchesMonolithicByteForByte) {
-  // Drive the plan chunk by chunk (the streaming pipeline's shape) and
-  // compare against one monolithic reconcile_leftovers call over the
-  // same leftovers.
+TEST(Reconcile, PlannedChunksMatchAnonymizeChunkedByteForByte) {
+  // Run each planned chunk through pruned GLOVE (the streaming
+  // pipeline's chunk job) and concatenate in plan order; the result must
+  // be anonymize_chunked over the same sub-k set with chunk_size =
+  // max(max_shard_users, k).  A >= k leftover leads the sequence, so the
+  // plan's positions skip a pass-through.
   const cdr::FingerprintDataset data = test::small_synth_dataset(24);
-  std::vector<cdr::Fingerprint> leftovers{data.fingerprints().begin(),
-                                          data.fingerprints().end()};
+  std::vector<cdr::Fingerprint> leftovers;
+  leftovers.push_back(cdr::Fingerprint{
+      {100u, 101u}, {test::cell(0.0, 0.0, 0.0), test::cell(100.0, 0.0, 5.0)}});
+  leftovers.insert(leftovers.end(), data.fingerprints().begin(),
+                   data.fingerprints().end());
   const ReconcileSetup setup = reconcile_setup(/*k=*/2, /*max_shard_users=*/5);
 
-  std::vector<cdr::Fingerprint> monolithic;
-  const ReconcileStats whole = reconcile_leftovers(
-      {data.fingerprints().begin(), data.fingerprints().end()}, monolithic,
-      setup.glove, setup.shard, {});
-
   const ReconcilePlan plan = plan_for(leftovers, setup);
-  ASSERT_GE(plan.chunks.size(), 2u);  // the resumable path really resumes
-  std::vector<cdr::Fingerprint> resumable;
-  ReconcileStats stats;
+  EXPECT_EQ(plan.passthrough, (std::vector<std::uint32_t>{0}));
+  EXPECT_TRUE(plan.tail.empty());
+  ASSERT_GE(plan.chunks.size(), 2u);  // the plan really splits the set
+  std::vector<cdr::Fingerprint> planned;
+  core::GloveStats stats;
   for (const std::vector<std::uint32_t>& chunk : plan.chunks) {
     std::vector<cdr::Fingerprint> members;
     for (const std::uint32_t position : chunk) {
-      members.push_back(std::move(leftovers[position]));
+      members.push_back(leftovers[position]);
     }
-    reconcile_chunk(
-        std::move(members), setup.glove, stats,
-        [&](cdr::Fingerprint&& fp) { resumable.push_back(std::move(fp)); },
-        {});
+    core::GloveResult part = core::anonymize_pruned(
+        cdr::FingerprintDataset{std::move(members)}, setup.glove);
+    stats.accumulate_costs(part.stats);
+    stats.input_users += part.stats.input_users;
+    stats.input_samples += part.stats.input_samples;
+    stats.output_groups += part.stats.output_groups;
+    stats.output_samples += part.stats.output_samples;
+    for (cdr::Fingerprint& fp : part.anonymized.mutable_fingerprints()) {
+      planned.push_back(std::move(fp));
+    }
   }
 
-  EXPECT_EQ(test::dataset_to_csv(cdr::FingerprintDataset{std::move(resumable)}),
-            test::dataset_to_csv(
-                cdr::FingerprintDataset{std::move(monolithic)}));
-  EXPECT_EQ(stats.reconciled_groups, whole.reconciled_groups);
-  EXPECT_EQ(stats.glove.merges, whole.glove.merges);
-  EXPECT_EQ(stats.glove.input_users, whole.glove.input_users);
-  EXPECT_EQ(stats.glove.input_samples, whole.glove.input_samples);
-  EXPECT_EQ(stats.glove.output_groups, whole.glove.output_groups);
-  EXPECT_EQ(stats.glove.output_samples, whole.glove.output_samples);
-  EXPECT_EQ(stats.glove.deleted_samples, whole.glove.deleted_samples);
+  core::ChunkedConfig chunked;
+  chunked.chunk_size = std::max<std::size_t>(setup.shard.max_shard_users,
+                                             setup.glove.k);
+  const core::GloveResult whole = core::anonymize_chunked(
+      cdr::FingerprintDataset{{leftovers.begin() + 1, leftovers.end()}},
+      setup.glove, chunked);
+
+  EXPECT_EQ(test::dataset_to_csv(cdr::FingerprintDataset{std::move(planned)}),
+            test::dataset_to_csv(cdr::FingerprintDataset{
+                {whole.anonymized.fingerprints().begin(),
+                 whole.anonymized.fingerprints().end()}}));
+  EXPECT_EQ(stats.merges, whole.stats.merges);
+  EXPECT_EQ(stats.input_users, whole.stats.input_users);
+  EXPECT_EQ(stats.input_samples, whole.stats.input_samples);
+  EXPECT_EQ(stats.output_groups, whole.stats.output_groups);
+  EXPECT_EQ(stats.output_samples, whole.stats.output_samples);
+  EXPECT_EQ(stats.deleted_samples, whole.stats.deleted_samples);
 }
 
 TEST(Reconcile, SuppressedTailCountsOriginalSamplesDeleted) {
@@ -171,24 +189,26 @@ TEST(Reconcile, SuppressedTailCountsOriginalSamplesDeleted) {
   const std::uint64_t original_samples = leftover.total_contributors();
   ASSERT_EQ(original_samples, 4u);
 
-  std::vector<cdr::Fingerprint> leftovers;
-  leftovers.push_back(std::move(leftover));
+  std::vector<cdr::Fingerprint> tail;
+  tail.push_back(std::move(leftover));
   std::vector<cdr::Fingerprint> anonymized;
   anonymized.push_back(cdr::Fingerprint{
       {1u, 2u}, {test::cell(0.0, 0.0, 0.0), test::cell(0.0, 100.0, 3.0)}});
 
   ReconcileSetup setup = reconcile_setup(/*k=*/2);
   setup.glove.leftover_policy = core::LeftoverPolicy::kSuppress;
-  const ReconcileStats stats = reconcile_leftovers(
-      std::move(leftovers), anonymized, setup.glove, setup.shard, {});
-  EXPECT_EQ(stats.glove.discarded_fingerprints, 1u);
-  EXPECT_EQ(stats.glove.deleted_samples, original_samples);
+  core::GloveStats stats;
+  const std::size_t absorbed =
+      reconcile_tail(std::move(tail), anonymized, setup.glove, stats, {});
+  EXPECT_EQ(absorbed, 0u);
+  EXPECT_EQ(stats.discarded_fingerprints, 1u);
+  EXPECT_EQ(stats.deleted_samples, original_samples);
   EXPECT_EQ(anonymized.size(), 1u);  // nothing appended
 }
 
 TEST(Reconcile, AbsorbTailMergesIntoNearestGroup) {
-  std::vector<cdr::Fingerprint> leftovers;
-  leftovers.push_back(user_at(9, 0.1, 0.0));
+  std::vector<cdr::Fingerprint> tail;
+  tail.push_back(user_at(9, 0.1, 0.0));
   std::vector<cdr::Fingerprint> anonymized;
   anonymized.push_back(cdr::Fingerprint{
       {1u, 2u}, {test::cell(0.0, 0.0, 0.0), test::cell(100.0, 0.0, 3.0)}});
@@ -197,10 +217,11 @@ TEST(Reconcile, AbsorbTailMergesIntoNearestGroup) {
       {test::cell(90'000.0, 0.0, 0.0), test::cell(90'100.0, 0.0, 3.0)}});
 
   const ReconcileSetup setup = reconcile_setup(/*k=*/2);
-  const ReconcileStats stats = reconcile_leftovers(
-      std::move(leftovers), anonymized, setup.glove, setup.shard, {});
-  EXPECT_EQ(stats.absorbed, 1u);
-  EXPECT_EQ(stats.glove.merges, 1u);
+  core::GloveStats stats;
+  const std::size_t absorbed =
+      reconcile_tail(std::move(tail), anonymized, setup.glove, stats, {});
+  EXPECT_EQ(absorbed, 1u);
+  EXPECT_EQ(stats.merges, 1u);
   ASSERT_EQ(anonymized.size(), 2u);
   // The co-located group (not the 90 km one) absorbed the leftover.
   EXPECT_EQ(anonymized[0].group_size(), 3u);

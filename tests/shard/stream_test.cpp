@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <regex>
 #include <sstream>
@@ -24,7 +25,9 @@
 #include "common/fixtures.hpp"
 #include "common/golden.hpp"
 #include "common/sharded_run.hpp"
+#include "common/temp_dir.hpp"
 #include "glove/api/source.hpp"
+#include "glove/cdr/binio.hpp"
 #include "glove/cdr/io.hpp"
 #include "glove/obs/metrics.hpp"
 #include "glove/obs/span.hpp"
@@ -241,6 +244,116 @@ TEST(ShardStream, BorderedReconcileBudgetsAreByteIdenticalToInMemory) {
       EXPECT_EQ(result.stats.deferred_fingerprints,
                 reference.stats.deferred_fingerprints);
       EXPECT_GE(result.stats.reconcile_passes, 1u);
+    }
+  }
+}
+
+/// Four 5 km tiles of four users each, plus user 99 inside tile (0, 0)
+/// but within 500 m of the tile (1, 0) border.  With one shard per tile
+/// the border split defers exactly that one sub-k fingerprint at k = 2:
+/// the leftover tail that kMergeIntoNearest absorbs into a finalized
+/// group and kSuppress discards.
+cdr::FingerprintDataset one_border_user_dataset() {
+  std::vector<cdr::Fingerprint> fingerprints;
+  cdr::UserId id = 0;
+  for (const double cy : {2'500.0, 7'500.0}) {
+    for (const double cx : {2'500.0, 7'500.0}) {
+      for (int m = 0; m < 4; ++m) {
+        const double dx = (m & 1) != 0 ? 600.0 : -600.0;
+        const double dy = (m & 2) != 0 ? 600.0 : -600.0;
+        fingerprints.push_back(cdr::Fingerprint{
+            id, {test::cell(cx + dx, cy + dy, 60.0 * m),
+                 test::cell(cx, cy + dy, 600.0 + 10.0 * id)}});
+        ++id;
+      }
+    }
+  }
+  fingerprints.push_back(
+      cdr::Fingerprint{99u, {test::cell(4'700.0, 2'500.0, 30.0)}});
+  return cdr::FingerprintDataset{std::move(fingerprints), "absorb-tail"};
+}
+
+TEST(ShardStream, AbsorbTailMatchesAcrossSourcesBudgetsAndWorkers) {
+  const cdr::FingerprintDataset data = one_border_user_dataset();
+  std::ostringstream serialized;
+  cdr::write_dataset_csv(serialized, data);
+  const test::TempDir dir;
+  const std::string bin = dir.file("absorb-tail.glovebin");
+  cdr::write_dataset_glovebin_file(bin, data, /*block_fingerprints=*/4);
+
+  const auto sources = [&] {
+    std::vector<std::unique_ptr<api::DatasetSource>> all;
+    all.push_back(std::make_unique<TextStream>(serialized.str()));
+    all.push_back(std::make_unique<api::MemorySource>(data));
+    all.push_back(std::make_unique<api::GlovebinSource>(bin));
+    return all;
+  };
+  const auto users_of = [](const std::vector<cdr::Fingerprint>& groups) {
+    std::uint64_t users = 0;
+    for (const cdr::Fingerprint& fp : groups) {
+      EXPECT_GE(fp.group_size(), kGlove.k);
+      users += fp.group_size();
+    }
+    return users;
+  };
+
+  // Both shard budgets plan one shard per tile; with the worker counts
+  // they move the shard-batch boundaries (one to four shards a batch).
+  std::string reference;
+  for (const std::size_t shard_users : {4u, 7u}) {
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+      SCOPED_TRACE("shard_users=" + std::to_string(shard_users) +
+                   " workers=" + std::to_string(workers));
+      ShardConfig config;
+      config.tile_size_m = 5'000.0;
+      config.halo_m = 500.0;
+      config.max_shard_users = shard_users;
+      config.workers = workers;
+      for (const auto& source : sources()) {
+        SCOPED_TRACE(source->kind());
+        StreamShardedResult result;
+        std::vector<cdr::Fingerprint> groups =
+            run_stream(*source, config, &result);
+        EXPECT_EQ(result.stats.shards, 4u);
+        EXPECT_EQ(result.stats.deferred_fingerprints, 1u);
+        EXPECT_EQ(result.stats.absorbed_leftovers, 1u);
+        EXPECT_EQ(result.stats.reconciled_groups, 0u);
+        EXPECT_EQ(result.stats.glove.discarded_fingerprints, 0u);
+        EXPECT_EQ(result.stats.glove.output_groups, groups.size());
+        EXPECT_EQ(users_of(groups), data.total_users());
+        const std::string csv =
+            test::dataset_to_csv(cdr::FingerprintDataset{std::move(groups)});
+        if (reference.empty()) {
+          reference = csv;
+        } else {
+          EXPECT_EQ(csv, reference);
+        }
+      }
+    }
+  }
+
+  // The same input under kSuppress discards the tail's one user instead.
+  core::GloveConfig suppress = kGlove;
+  suppress.leftover_policy = core::LeftoverPolicy::kSuppress;
+  ShardConfig config;
+  config.tile_size_m = 5'000.0;
+  config.halo_m = 500.0;
+  config.max_shard_users = 4;
+  std::string suppressed_reference;
+  for (const auto& source : sources()) {
+    SCOPED_TRACE(source->kind());
+    StreamShardedResult result;
+    std::vector<cdr::Fingerprint> groups =
+        run_stream(*source, config, &result, suppress);
+    EXPECT_EQ(result.stats.absorbed_leftovers, 0u);
+    EXPECT_EQ(result.stats.glove.discarded_fingerprints, 1u);
+    EXPECT_EQ(users_of(groups), data.total_users() - 1);
+    const std::string csv =
+        test::dataset_to_csv(cdr::FingerprintDataset{std::move(groups)});
+    if (suppressed_reference.empty()) {
+      suppressed_reference = csv;
+    } else {
+      EXPECT_EQ(csv, suppressed_reference);
     }
   }
 }

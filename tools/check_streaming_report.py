@@ -10,9 +10,10 @@ file-to-file (CsvFileSource -> CsvFileSink) run and asserts:
     dataset;
   * the reconciliation itself streamed: the report counts at least
     --min-reconcile-passes rewound reconcile passes (set 0 for
-    --border=none runs, which defer nothing), and they are a strict
-    subset of the total passes (a planning scan and at least one shard
-    batch always precede them);
+    --border=none runs, which defer nothing);
+  * the passes add up exactly: one planning scan, one pass per shard
+    batch (the obs counter stream.shard_batches) and one per reconcile
+    pass (metrics.reconcile_passes), nothing else;
   * the process's peak resident set stayed below the given fraction of
     the dataset's *materialized* size — the memory a collect-first run
     pays just to hold the samples (56 bytes each: 6 doubles + the
@@ -126,12 +127,11 @@ def main() -> int:
             f"expected >= {args.min_reconcile_passes} halo-reconcile chunk "
             f"passes, report counts {reconcile_passes} — the bordered "
             "reconciliation did not stream")
-    # Planning scan + >= 1 shard batch always precede the reconcile
-    # passes, so they must account for strictly fewer than len - 2.
-    if reconcile_passes > max(0, len(passes) - 2):
+    shard_batches = int(doc.get("obs", {}).get("stream.shard_batches", 0))
+    if len(passes) != 1 + shard_batches + reconcile_passes:
         failures.append(
-            f"reconcile_passes={reconcile_passes} does not leave room for "
-            f"the planning scan and a shard batch in {len(passes)} passes")
+            f"{len(passes)} passes != 1 planning scan + {shard_batches} "
+            f"shard batches + {reconcile_passes} reconcile passes")
 
     samples = counters.get("input_samples", 0)
     floor = samples * BYTES_PER_SAMPLE
