@@ -91,9 +91,9 @@ def run_throughput(binary: pathlib.Path) -> dict:
 
 
 # The pinned streaming run whose deterministic metrics are baselined:
-# glovebin input (so the planning pass is index-served and rewound passes
+# glovebin input (so the planning pass is index-served and later passes
 # block-seek) through the bordered sharded strategy with a reconcile
-# chunk budget small enough to force several rewound passes.
+# chunk budget small enough to force several reconcile passes.
 STREAMING_SYNTH = ["--users=20000", "--days=1", "--seed=3"]
 STREAMING_RUN = [
     "--strategy=sharded", "--shard-users=500", "--shard-workers=2",

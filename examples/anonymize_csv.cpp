@@ -22,7 +22,8 @@
 // glovebin file (cdr/binio.hpp); --output picks its format by extension
 // (".glovebin" vs CSV) or explicitly via --format=csv|glovebin.  Glovebin
 // inputs serve the sharded strategy's planning pass from the footer index
-// and rewound passes map only the blocks they need.
+// and later passes map only the blocks they need; a CSV input is spilled
+// to a private glovebin under $TMPDIR by the planning pass for the same.
 //
 // Generate a synthetic fingerprint dataset to stream (then exit):
 //

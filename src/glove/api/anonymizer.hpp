@@ -3,7 +3,7 @@
 // sharded backend) implements to plug into the Engine.
 //
 // Two run shapes exist, and a strategy implements exactly one.  Strategies
-// that can consume a rewindable DatasetSource without materializing it
+// that can consume a DatasetSource without materializing it
 // whole set `supports_streaming()` and implement `run_streaming`; the
 // Engine routes every run of theirs there, in-memory ones included.  All
 // other strategies implement the dataset-in shape (`run`), and the Engine
@@ -51,6 +51,10 @@ struct StrategyOutcome {
   /// Fingerprints read from the source on each pass over it (streaming
   /// runs; the Engine records {dataset size} on the collect path).
   std::vector<std::uint64_t> pass_fingerprints;
+  /// Io accounting of what the strategy read in place of the source (the
+  /// sharded stream's spill of a source without an index); the Engine
+  /// reports the source's own io_stats() when this is unset.
+  std::optional<SourceIoStats> io;
 };
 
 class Anonymizer {
@@ -107,10 +111,10 @@ class Anonymizer {
     return false;
   }
 
-  /// Streaming entry: pull fingerprints from `source` (rewinding for
-  /// additional passes), push finalized groups to `sink` (begin() with
-  /// the output name first, finish() after the last group), and return
-  /// the outcome with `anonymized` empty.  Only called when
+  /// Streaming entry: pull fingerprints from `source` (once; later passes
+  /// read the source's index or a SourceSpill), push finalized groups to
+  /// `sink` (begin() with the output name first, finish() after the last
+  /// group), and return the outcome with `anonymized` empty.  Only called when
   /// `supports_streaming()`; the same exception mapping as `run` applies.
   [[nodiscard]] virtual StrategyOutcome run_streaming(
       DatasetSource& source, const RunConfig& config,

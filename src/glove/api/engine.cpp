@@ -169,7 +169,8 @@ Result<RunReport> Engine::run(DatasetSource& source, DatasetSink& sink,
     report.source_kind = source.kind();
     report.sink_kind = sink.kind();
     report.pass_fingerprints = std::move(outcome.pass_fingerprints);
-    if (const SourceIoStats* io = source.io_stats()) {
+    if (const SourceIoStats* io =
+            outcome.io ? &*outcome.io : source.io_stats()) {
       report.pass_blocks = io->pass_blocks;
       report.file_blocks = io->file_blocks;
       report.blocks_read = io->blocks_read;

@@ -1,7 +1,12 @@
 #include "glove/api/source.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -46,10 +51,12 @@ void CsvFileSource::rewind() {
 
 namespace {
 
-/// Blocks decoded per mmap during a sequential scan: large enough to
-/// amortize the map/unmap syscalls, small enough that the window stays a
-/// few MiB under any dataset.
-constexpr std::size_t kSequentialBlocksPerMap = 64;
+/// Most blocks one read_blocks call maps, in a sequential scan and in a
+/// fetch alike: large enough to amortize the map/unmap syscalls, small
+/// enough that the mapped window — address space, and file pages resident
+/// while it is decoded — stays well under 1 MiB at the default block size
+/// however many contiguous blocks a pass needs.
+constexpr std::size_t kBlocksPerMap = 16;
 
 }  // namespace
 
@@ -62,8 +69,7 @@ bool GlovebinSource::next(cdr::Fingerprint& fingerprint) {
   if (buffer_cursor_ >= buffer_.size()) {
     const auto blocks = static_cast<std::size_t>(reader_.block_count());
     if (next_block_ >= blocks) return false;
-    const std::size_t last =
-        std::min(next_block_ + kSequentialBlocksPerMap, blocks);
+    const std::size_t last = std::min(next_block_ + kBlocksPerMap, blocks);
     GLOVE_SPAN_NAMED(read_span, "source.glovebin.scan_window");
     read_span.arg("first_block", next_block_);
     read_span.arg("blocks", last - next_block_);
@@ -120,11 +126,12 @@ std::optional<std::uint64_t> GlovebinSource::fetch(
       ++b;
       continue;
     }
-    // Each iteration maps and decodes a whole block run, so this is the
-    // only timely poll point a cancel has during an index-served pass.
+    // Each iteration maps and decodes a run of up to kBlocksPerMap
+    // blocks, so this is the only timely poll point a cancel has during an
+    // index-served pass.
     throw_if_cancelled();
     std::size_t e = b;
-    while (e < needed.size() && needed[e] != 0) ++e;
+    while (e < needed.size() && needed[e] != 0 && e - b < kBlocksPerMap) ++e;
     try {
       reader_.read_blocks(b, e, [&](std::uint64_t id, cdr::Fingerprint&& fp) {
         const auto it = slot_of_id.find(static_cast<std::uint32_t>(id));
@@ -150,6 +157,44 @@ const SourceIoStats* GlovebinSource::io_stats() const noexcept {
   stats_.blocks_read = reader_.blocks_read();
   stats_.bytes_mapped = reader_.bytes_mapped();
   return &stats_;
+}
+
+SourceSpill::Directory::Directory() {
+  std::string pattern =
+      (std::filesystem::temp_directory_path() / "glove-spill-XXXXXX")
+          .string();
+  // mkdtemp creates the directory atomically, readable by its owner only.
+  if (::mkdtemp(pattern.data()) == nullptr) {
+    throw std::runtime_error{"cannot create a spill directory " + pattern +
+                             ": " + std::strerror(errno)};
+  }
+  path = std::move(pattern);
+}
+
+SourceSpill::Directory::~Directory() {
+  std::error_code ignored;
+  std::filesystem::remove_all(path, ignored);
+}
+
+SourceSpill::SourceSpill(DatasetSource& source, const util::RunHooks& hooks) {
+  const std::string file = dir_.path + "/spill.glovebin";
+  {
+    GLOVE_SPAN_NAMED(span, "source.spill.write");
+    cdr::GlovebinWriter writer{file};
+    writer.begin(source.name());
+    cdr::Fingerprint fp;
+    while (source.next(fp)) {
+      if ((writer.fingerprints_written() & 0x3FFu) == 0) {
+        hooks.throw_if_cancelled();
+      }
+      writer.write(fp);
+    }
+    writer.finish();
+    span.arg("fingerprints", writer.fingerprints_written());
+    span.arg("bytes", std::filesystem::file_size(file));
+  }
+  spill_ = std::make_unique<GlovebinSource>(file);
+  spill_->bind_cancel(hooks.cancel);
 }
 
 std::unique_ptr<DatasetSource> open_dataset_source(const std::string& path) {

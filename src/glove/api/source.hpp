@@ -1,12 +1,15 @@
 // DatasetSource: the pull side of the Engine's streaming run boundary.
 //
-// A source yields fingerprints one at a time and can be rewound, so
-// two-pass strategies (the sharded backend plans on a first pass and
-// materializes shard batches on later ones) never need the whole dataset
-// in memory.  MemorySource adapts an existing in-memory dataset — the
-// legacy dataset-in/dataset-out Engine overload is a thin wrapper around
-// it — and CsvFileSource streams a fingerprint-dataset CSV straight off
-// disk through cdr::DatasetStreamReader.
+// A source yields fingerprints one at a time.  Multi-pass strategies (the
+// sharded backend plans on a first pass and materializes shard batches on
+// later ones) read it exactly once: an indexed source serves the later
+// passes by block fetch, and any other source is copied into a private
+// SourceSpill on the first pass, so the whole dataset is never in memory
+// and the input file is never re-parsed.  MemorySource adapts an existing
+// in-memory dataset — the legacy dataset-in/dataset-out Engine overload is
+// a thin wrapper around it — and CsvFileSource streams a
+// fingerprint-dataset CSV straight off disk through
+// cdr::DatasetStreamReader.
 
 #ifndef GLOVE_API_SOURCE_HPP
 #define GLOVE_API_SOURCE_HPP
@@ -56,9 +59,9 @@ class DatasetSource {
   virtual bool next(cdr::Fingerprint& fingerprint) = 0;
 
   /// Restarts the sequence from the first fingerprint, including after
-  /// EOF.  Every pass must yield the same fingerprints in the same order;
-  /// streaming strategies abort with a dataset error when the count
-  /// changes between passes.
+  /// EOF.  No strategy re-reads a source: the sharded stream scans it once
+  /// and serves later passes from fetch() or a SourceSpill.  Kept for
+  /// callers that consume one source more than once.
   virtual void rewind() = 0;
 
   /// Fingerprint count when the source knows it upfront (memory sources
@@ -87,11 +90,13 @@ class DatasetSource {
     return false;
   }
 
-  /// Index fast path for rewound materialization passes: fetches exactly
-  /// the fingerprints whose stream index keys `slot_of_id`, storing each
-  /// at its mapped slot in `store` (pre-sized by the caller), and returns
-  /// how many it materialized.  Sources without random access return
-  /// nullopt and the caller re-streams the whole sequence instead.
+  /// Index fast path for the materialization passes after the planning
+  /// scan: fetches exactly the fingerprints whose stream index keys
+  /// `slot_of_id`, storing each at its mapped slot in `store` (pre-sized
+  /// by the caller), and returns how many it materialized.  A source that
+  /// serves summaries() must serve fetch() too.  Sources without random
+  /// access return nullopt; the sharded stream then reads them once, into
+  /// a SourceSpill, and fetches from the spill.
   virtual std::optional<std::uint64_t> fetch(
       const std::unordered_map<std::uint32_t, std::uint32_t>& slot_of_id,
       std::vector<cdr::Fingerprint>& store) {
@@ -162,8 +167,9 @@ class MemorySource final : public DatasetSource {
 /// a file, holding O(1 fingerprint) memory.  Throws std::runtime_error
 /// when the file cannot be opened; parse failures carry the path and row
 /// number and surface as util::DatasetError (kInvalidDataset at the
-/// Engine boundary).  `rewind()` seeks back to the start, so the file
-/// can be consumed any number of times.
+/// Engine boundary).  It has no index, so the sharded stream parses it
+/// once and serves its later passes from a SourceSpill.  `rewind()` seeks
+/// back to the start for callers that consume the file more than once.
 class CsvFileSource final : public DatasetSource {
  public:
   explicit CsvFileSource(std::string path);
@@ -187,10 +193,11 @@ class CsvFileSource final : public DatasetSource {
 /// Streams a glovebin file (cdr/binio.hpp), decoding one block range at a
 /// time, and serves the index fast paths: summaries() reads the footer
 /// instead of the payload and fetch() maps only the blocks holding the
-/// requested fingerprints.  Throws std::runtime_error with the path when
-/// the file cannot be opened or fails validation; corrupt block payloads
-/// surface as util::DatasetError (kInvalidDataset at the Engine
-/// boundary), matching CsvFileSource's malformed-row behavior.
+/// requested fingerprints, a bounded window of them per mmap.  Throws
+/// std::runtime_error with the path when the file cannot be opened or
+/// fails validation; corrupt block payloads surface as util::DatasetError
+/// (kInvalidDataset at the Engine boundary), matching CsvFileSource's
+/// malformed-row behavior.
 class GlovebinSource final : public DatasetSource {
  public:
   explicit GlovebinSource(std::string path);
@@ -223,6 +230,39 @@ class GlovebinSource final : public DatasetSource {
   std::size_t buffer_cursor_ = 0;
   std::size_t next_block_ = 0;
   mutable SourceIoStats stats_;
+};
+
+/// A private glovebin copy of a source that has no index of its own, so a
+/// multi-pass consumer reads the input exactly once.  The constructor
+/// drains `source` with next() — the only read of it — writing each
+/// fingerprint through cdr::GlovebinWriter into a fresh private directory
+/// under std::filesystem::temp_directory_path() ($TMPDIR, else /tmp), then
+/// opens the file as a GlovebinSource bound to `hooks.cancel`.  The spill
+/// needs about 1.5-1.7x the CSV's size of free space there.  The destructor
+/// closes the file and removes it with its directory, however the run
+/// ends; a constructor that throws (a malformed row, a cancel, a full
+/// disk) removes what it wrote too.
+class SourceSpill {
+ public:
+  SourceSpill(DatasetSource& source, const util::RunHooks& hooks);
+
+  /// The spilled copy: fingerprints in the source's order, with the
+  /// summaries() and fetch() index fast paths.
+  [[nodiscard]] GlovebinSource& source() noexcept { return *spill_; }
+
+ private:
+  /// Owns the private directory; declared before spill_ so the file is
+  /// closed before the directory is removed.
+  struct Directory {
+    Directory();
+    ~Directory();
+    Directory(const Directory&) = delete;
+    Directory& operator=(const Directory&) = delete;
+    std::string path;
+  };
+
+  Directory dir_;
+  std::unique_ptr<GlovebinSource> spill_;
 };
 
 /// Opens `path` as the matching file source: GlovebinSource when the file

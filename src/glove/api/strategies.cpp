@@ -198,9 +198,9 @@ class ShardedStrategy final : public Anonymizer {
                                 const RunContext& context,
                                 DatasetSink& sink) const override {
     // The sharded pipeline is the first true streaming consumer: tile
-    // histogram and border split from a bounds-only first pass, shard
-    // batches materialized on later passes, groups pushed to the sink as
-    // shards finish.
+    // histogram and border split from a bounds-only first pass (the only
+    // read of the source), shard batches fetched on later passes, groups
+    // pushed to the sink as shards finish.
     sink.begin(shard::sharded_output_name(source.name(), config.k));
     shard::StreamShardedResult result = shard::anonymize_sharded_stream(
         source, config, config.sharded,
@@ -225,6 +225,7 @@ class ShardedStrategy final : public Anonymizer {
         {"reconcile_seconds", stats.reconcile_seconds}};
     outcome.shard_timings = std::move(result.shard_timings);
     outcome.pass_fingerprints = std::move(result.pass_fingerprints);
+    outcome.io = std::move(result.spill_io);
     return outcome;
   }
 };

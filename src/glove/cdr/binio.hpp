@@ -1,8 +1,9 @@
 // glovebin: the binary columnar fingerprint-dataset format.
 //
-// The CSV dataset format re-parses every double on every pass, which makes
-// ingest the bottleneck of streaming sharded runs (each shard batch and
-// each reconcile budget rewinds the source).  glovebin stores the same
+// The CSV dataset format has no index: a streaming sharded run cannot
+// fetch one shard batch or reconcile budget out of it without parsing the
+// whole file, so it spills a CSV input to glovebin once (api::SourceSpill)
+// and fetches every later pass from the spill.  glovebin stores the same
 // dataset losslessly — exact little-endian IEEE doubles, fingerprints in
 // file order, samples in each fingerprint's time-sorted order — plus a
 // footer the streaming passes can exploit:
@@ -16,7 +17,7 @@
 //            geometry + group size + sample count — pass 1 of a sharded
 //            run becomes a read of this table), then the block index
 //            (offset/length/fingerprint range/min-max locality_sort_key/
-//            merged bounds per block — rewound passes map only the blocks
+//            merged bounds per block — later passes map only the blocks
 //            that hold the fingerprints they need), then the dataset name
 //   trailer  counts + footer offsets + magic again, fixed size at EOF
 //

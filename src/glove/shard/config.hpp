@@ -60,7 +60,7 @@ struct ShardConfig {
   double halo_m = 1'000.0;
 
   /// Streaming-run budget for the halo-reconciliation phase: at most this
-  /// many deferred fingerprints are materialized per rewound
+  /// many deferred fingerprints are materialized per
   /// reconciliation pass (passes close on whole reconcile units — the
   /// >=k pass-throughs, each locality-sorted GLOVE chunk, the leftover
   /// tail — and a single unit larger than the budget still forms its own

@@ -12,7 +12,7 @@
 //
 // The streaming pipeline (stream.hpp) drives it: plan_reconcile computes
 // the schedule from per-leftover bounding geometry and group sizes alone
-// (both already resident after the pass-1 scan), rewound passes
+// (both already resident after the pass-1 scan), later passes
 // materialize the units, each chunk runs as a batch job of
 // core::anonymize_pruned, and reconcile_tail applies the leftover policy
 // to the tail.  Chunk membership, member order and per-chunk execution

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -36,90 +39,51 @@ struct StreamScan {
   std::uint64_t samples = 0;
 };
 
+/// Pass 1.  A source with neither index is read here, exactly once: the
+/// scan copies it into `spill`, whose footer then serves the geometry
+/// like any indexed source's, and every later pass fetches from the spill.
 StreamScan scan_stream(api::DatasetSource& source,
+                       std::unique_ptr<api::SourceSpill>& spill,
                        const util::RunHooks& hooks) {
   StreamScan scan;
-  if (std::vector<cdr::FingerprintSummary> summaries;
-      source.summaries(summaries)) {
-    // Index-capable sources persisted the exact fingerprint_bounds
-    // fields, so pass 1 is a footer read — no payload decode at all.
-    scan.bounds.reserve(summaries.size());
-    scan.group_sizes.reserve(summaries.size());
-    for (const cdr::FingerprintSummary& s : summaries) {
-      scan.bounds.push_back(core::FingerprintBounds{
-          cdr::SpatialExtent{s.x, s.dx, s.y, s.dy},
-          cdr::TemporalExtent{s.t, s.dt}});
-      scan.group_sizes.push_back(s.group_size);
-      scan.users += s.group_size;
-      scan.samples += s.sample_count;
+  std::vector<cdr::FingerprintSummary> summaries;
+  if (!source.summaries(summaries)) {
+    if (const cdr::FingerprintDataset* data = source.materialized()) {
+      // Materialized sources are scanned by index with parallel bounds
+      // computation, no copies.
+      scan.bounds.resize(data->size());
+      util::parallel_for(
+          data->size(),
+          [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+              scan.bounds[i] = core::fingerprint_bounds((*data)[i]);
+            }
+          },
+          /*min_chunk=*/64);
+      scan.group_sizes.reserve(data->size());
+      for (const cdr::Fingerprint& fp : data->fingerprints()) {
+        scan.group_sizes.push_back(fp.group_size());
+      }
+      scan.users = data->total_users();
+      scan.samples = data->total_samples();
+      return scan;
     }
-    return scan;
+    spill = std::make_unique<api::SourceSpill>(source, hooks);
+    spill->source().summaries(summaries);
   }
-  if (const cdr::FingerprintDataset* data = source.materialized()) {
-    // Materialized sources are scanned by index with parallel bounds
-    // computation, no copies.
-    scan.bounds.resize(data->size());
-    util::parallel_for(
-        data->size(),
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            scan.bounds[i] = core::fingerprint_bounds((*data)[i]);
-          }
-        },
-        /*min_chunk=*/64);
-    scan.group_sizes.reserve(data->size());
-    for (const cdr::Fingerprint& fp : data->fingerprints()) {
-      scan.group_sizes.push_back(fp.group_size());
-    }
-    scan.users = data->total_users();
-    scan.samples = data->total_samples();
-    return scan;
-  }
-  cdr::Fingerprint fp;
-  while (source.next(fp)) {
-    if ((scan.bounds.size() & 0x3FFu) == 0) hooks.throw_if_cancelled();
-    scan.bounds.push_back(core::fingerprint_bounds(fp));
-    scan.group_sizes.push_back(fp.group_size());
-    scan.users += fp.group_size();
-    scan.samples += fp.size();
+  // The index persisted the exact fingerprint_bounds fields, so the scan
+  // is a footer read — no payload decode at all.
+  scan.bounds.reserve(summaries.size());
+  scan.group_sizes.reserve(summaries.size());
+  for (const cdr::FingerprintSummary& s : summaries) {
+    scan.bounds.push_back(core::FingerprintBounds{
+        cdr::SpatialExtent{s.x, s.dx, s.y, s.dy},
+        cdr::TemporalExtent{s.t, s.dt}});
+    scan.group_sizes.push_back(s.group_size);
+    scan.users += s.group_size;
+    scan.samples += s.sample_count;
   }
   return scan;
-}
-
-/// Re-reads the whole stream, materializing only the fingerprints whose
-/// dataset index appears in `slot_of_id` (into `store`, slot-addressed).
-/// Returns the number of fingerprints the pass yielded.
-std::uint64_t materialize_pass(
-    api::DatasetSource& source,
-    const std::unordered_map<std::uint32_t, std::uint32_t>& slot_of_id,
-    std::vector<cdr::Fingerprint>& store, std::size_t expected,
-    const util::RunHooks& hooks) {
-  // Index-capable sources seek straight to the blocks holding the
-  // requested fingerprints; the pass then "streamed" only those.
-  if (const std::optional<std::uint64_t> fetched =
-          source.fetch(slot_of_id, store)) {
-    return *fetched;
-  }
-  source.rewind();
-  cdr::Fingerprint fp;
-  std::uint64_t index = 0;
-  while (source.next(fp)) {
-    if ((index & 0x3FFu) == 0) hooks.throw_if_cancelled();
-    if (index < expected) {
-      const auto it = slot_of_id.find(static_cast<std::uint32_t>(index));
-      if (it != slot_of_id.end()) store[it->second] = std::move(fp);
-    }
-    ++index;
-    if (index > expected) break;  // grew — diagnosed below
-  }
-  if (index != expected) {
-    throw util::DatasetError{
-        "streaming source yielded a different number of fingerprints after "
-        "rewind (got " + std::to_string(index) +
-        (index > expected ? "+" : "") + ", planned " +
-        std::to_string(expected) + ")"};
-  }
-  return index;
 }
 
 /// The units a pass loop walks, each the dataset ids one unit
@@ -133,9 +97,9 @@ using Units = std::vector<const std::vector<std::uint32_t>*>;
 /// until the next one would push its members past `budget` (a single
 /// oversized unit still forms a pass of its own).  materialize() then
 /// makes the pass's fingerprints available to take(): a materialized()
-/// source hands them out by index (one copy each) and is never
-/// re-streamed; any other source is re-read once, keeping only the pass's
-/// ids (index-capable sources seek straight to the blocks holding them).
+/// source hands them out by index (one copy each); an indexed source (the
+/// input's own index, or its spill) fetches exactly the pass's ids from
+/// the blocks holding them.
 class Pass {
  public:
   Pass(const Units& units, std::size_t first, std::size_t budget)
@@ -148,12 +112,11 @@ class Pass {
     }
   }
 
-  /// Materializes the pass's units out of `source`, which yields `n`
-  /// fingerprints per pass.  Returns whether the source was re-read; if so
-  /// the pass's fingerprint count is appended to `pass_fingerprints`.
-  bool materialize(api::DatasetSource& source, std::size_t n,
-                   std::vector<std::uint64_t>& pass_fingerprints,
-                   const util::RunHooks& hooks) {
+  /// Materializes the pass's units out of `source`.  Returns whether the
+  /// source was read; if so the pass's fingerprint count is appended to
+  /// `pass_fingerprints`.
+  bool materialize(api::DatasetSource& source,
+                   std::vector<std::uint64_t>& pass_fingerprints) {
     inmem_ = source.materialized();
     if (inmem_ != nullptr) return false;
     slot_of_id_.reserve(members);
@@ -164,8 +127,18 @@ class Pass {
       }
     }
     store_.resize(next_slot);
-    pass_fingerprints.push_back(
-        materialize_pass(source, slot_of_id_, store_, n, hooks));
+    const std::optional<std::uint64_t> fetched =
+        source.fetch(slot_of_id_, store_);
+    if (!fetched) {
+      throw std::logic_error{
+          "a source that serves summaries() must serve fetch() too"};
+    }
+    if (*fetched != store_.size()) {
+      throw util::DatasetError{
+          "source fetched " + std::to_string(*fetched) + " of the " +
+          std::to_string(store_.size()) + " fingerprints a pass requested"};
+    }
+    pass_fingerprints.push_back(*fetched);
     return true;
   }
 
@@ -317,9 +290,12 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   // --- Pass 1: bounds-only scan, tile, plan, split borders.
   const auto plan_start = Clock::now();
   StreamScan scan;
+  // Owns the private copy of a source without an index; removed on every
+  // exit path, errors and cancellation included.
+  std::unique_ptr<api::SourceSpill> spill;
   {
     GLOVE_SPAN_NAMED(pass1_span, "stream.pass1.scan");
-    scan = scan_stream(source, hooks);
+    scan = scan_stream(source, spill, hooks);
     pass1_span.arg("fingerprints", scan.bounds.size());
     pass1_span.arg("users", scan.users);
     pass1_span.arg("samples", scan.samples);
@@ -331,6 +307,8 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
     throw util::DatasetError{
         "dataset smaller than the target anonymity level k"};
   }
+  // Every later pass reads here: the spill when pass 1 made one.
+  api::DatasetSource& reader = spill ? spill->source() : source;
   result.stats.glove.input_users = scan.users;
   result.stats.glove.input_samples = scan.samples;
 
@@ -456,7 +434,7 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
                         obs::log_kv("shards", batch.last - first) + ' ' +
                         obs::log_kv("members", batch.members));
     }
-    batch.materialize(source, n, result.pass_fingerprints, hooks);
+    batch.materialize(reader, result.pass_fingerprints);
 
     // Turn the batch into shard jobs (empty kept sets run nothing and
     // keep their zeroed timing row); results come back in job = shard
@@ -497,7 +475,7 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   }
 
   // --- Reconcile cross-shard leftovers: materialize one budget's worth
-  // of reconcile units per rewound pass — the leftover analogue of the
+  // of reconcile units per pass — the leftover analogue of the
   // shard batches — and run the pass's GLOVE chunks as one batch.  Chunk
   // membership is fixed by the plan, so the chunks are independent jobs
   // exactly like shards.  No fingerprint is held before the pass that
@@ -535,7 +513,7 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
                     obs::log_kv("units", pass.last - first_u) + ' ' +
                         obs::log_kv("members", pass.members));
     }
-    if (pass.materialize(source, n, result.pass_fingerprints, hooks)) {
+    if (pass.materialize(reader, result.pass_fingerprints)) {
       ++result.stats.reconcile_passes;
     }
 
@@ -623,6 +601,7 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   result.stats.glove.output_groups = emitted_groups;
   result.stats.glove.output_samples = emitted_samples;
   result.workers = pool.size();
+  if (spill) result.spill_io = *spill->source().io_stats();
   hooks.report(total_work, total_work);
   return result;
 }

@@ -1,16 +1,19 @@
 // Streaming execution of the sharded backend: the run boundary for
-// datasets larger than RAM.  The input is an api::DatasetSource — the
-// same rewindable source the Engine hands every streaming strategy.
+// datasets larger than RAM.  The input is an api::DatasetSource, read
+// exactly once.
 //
 //   pass 1  — scan the source once, keeping only per-fingerprint bounding
 //             geometry (+ group size): enough to tile, plan shards and
 //             compute the kept/deferred border split without ever holding
-//             the samples;
-//   pass 2+ — rewind and re-scan once per shard batch, materializing only
-//             the fingerprints of the shards currently running; finished
-//             groups are pushed to the emitter as each batch completes
-//             and freed immediately;
-//   pass N+ — rewind once per reconciliation pass: the deferred border
+//             the samples.  An indexed source (glovebin) serves the scan
+//             from its footer; a source without an index (CSV) is copied
+//             by the same scan into a private api::SourceSpill, whose
+//             footer then serves it;
+//   pass 2+ — one pass per shard batch, fetching from the index (the
+//             input's own, or the spill's) only the fingerprints of the
+//             shards currently running; finished groups are pushed to the
+//             emitter as each batch completes and freed immediately;
+//   pass N+ — one pass per reconciliation budget: the deferred border
 //             leftovers are partitioned into locality-sorted GLOVE chunks
 //             from their pass-1 bounds alone (planned right after the
 //             border split) and each pass materializes one budget's worth
@@ -24,7 +27,7 @@
 // by reconcile_chunk_users materialized members plus at most `workers`
 // in-flight chunk candidate heaps — instead of O(dataset) or O(borders).
 // The output bytes are the same for every source kind (an in-memory
-// api::MemorySource, a re-parsed file, an indexed glovebin), every budget
+// api::MemorySource, a spilled CSV, an indexed glovebin), every budget
 // and every worker count.  Every reconciliation runs through the same
 // passes, including the rare absorb-leftovers tail (fewer than k sub-k
 // leftovers under kMergeIntoNearest): absorption may rewrite any
@@ -36,6 +39,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "glove/api/source.hpp"
@@ -52,27 +56,29 @@ struct StreamShardedResult {
   ShardedStats stats;
   /// Per-shard sizes and wall-clock, in shard order.
   std::vector<ShardTiming> shard_timings;
-  /// Fingerprints read from the source on each pass (the planning scan,
-  /// one entry per shard-batch materialization pass, then one per
-  /// reconciliation pass — stats.reconcile_passes counts those).  A
-  /// materialized() source is never re-streamed, so it reports the
-  /// single scan pass.  An index-capable source (fetch()) reports, for
-  /// each rewound pass, only the fingerprints that pass materialized —
-  /// strictly fewer than the scan's full count.
+  /// Fingerprints read on each pass (the planning scan, one entry per
+  /// shard-batch materialization pass, then one per reconciliation pass —
+  /// stats.reconcile_passes counts those).  A materialized() source is
+  /// read by index, so it reports the single scan pass.  Otherwise the
+  /// scan counts the whole dataset and each later pass exactly the
+  /// fingerprints it fetched, so the later passes sum to the scan's count.
   std::vector<std::uint64_t> pass_fingerprints;
+  /// The spill's io accounting when pass 1 spilled the source (pass_blocks
+  /// aligned with pass_fingerprints, 0 for the scan); nullopt otherwise.
+  std::optional<api::SourceIoStats> spill_io;
   /// Threads of the pool that ran the shard batches and reconcile chunks:
   /// config.workers (0 = the shared-pool default), capped at the larger
   /// of the shard and reconcile-chunk counts.
   std::uint64_t workers = 0;
 };
 
-/// Runs the sharded pipeline over a rewindable source, emitting groups to
-/// `emit` as they are finalized.  Every pass must yield the same
-/// fingerprints in the same order; a count that changes between passes
-/// raises util::DatasetError.  Requires glove.k >= 2, tile_size_m
-/// >= 0 (0 = adaptive from observed anchor density), halo_m >= 0 and
-/// max_shard_users >= glove.k (std::invalid_argument otherwise); a source
-/// holding fewer than k fingerprints raises util::DatasetError.
+/// Runs the sharded pipeline over `source`, emitting groups to `emit` as
+/// they are finalized.  The source is read once; one without an index is
+/// spilled to a private glovebin (api::SourceSpill) for the run's
+/// duration.  Requires glove.k >= 2, tile_size_m >= 0 (0 = adaptive from
+/// observed anchor density), halo_m >= 0 and max_shard_users >= glove.k
+/// (std::invalid_argument otherwise); a source holding fewer than k
+/// fingerprints raises util::DatasetError.
 /// Deterministic for a given source content and configuration,
 /// independent of `workers` and of batch boundaries (shard and reconcile
 /// budgets alike).  Progress units are input fingerprints — kept ones as

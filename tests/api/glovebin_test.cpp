@@ -3,7 +3,7 @@
 // fail-at-begin sinks), CSV <-> glovebin converter parity, and the claim
 // the format exists for — every strategy produces byte-identical groups
 // whether it streams the CSV or the glovebin spelling of a dataset, while
-// the glovebin index fast paths keep rewound passes from re-reading the
+// the glovebin index fast paths keep later passes from re-reading the
 // whole file.
 
 #include <gtest/gtest.h>

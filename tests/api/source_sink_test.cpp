@@ -1,11 +1,13 @@
 // The streaming run boundary: DatasetSource/DatasetSink contracts
 // (iteration, rewind — including after EOF —, error context, byte parity
 // of the file sink with the bulk writer) and the Engine's streaming
-// overload (collect-then-run fallback, sharded streaming passes, typed
-// errors on empty/short sources).
+// overload (collect-then-run fallback, sharded streaming passes that read
+// a CSV once and fetch every later pass from its spill, typed errors on
+// empty/short sources).
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -13,10 +15,13 @@
 
 #include "common/fixtures.hpp"
 #include "common/golden.hpp"
+#include "common/sharded_run.hpp"
 #include "common/temp_dir.hpp"
 #include "glove/api/engine.hpp"
 #include "glove/cdr/io.hpp"
 #include "glove/core/glove.hpp"
+#include "glove/obs/span.hpp"
+#include "glove/synth/generator.hpp"
 
 namespace glove::api {
 namespace {
@@ -181,19 +186,64 @@ TEST(EngineStreaming, ShardedStreamsInMultiplePassesAndStaysKAnonymous) {
   config.sharded.workers = 1;  // small batch budget -> several passes
   CsvFileSource source{in_path};
   CsvFileSink sink{out_path};
+  obs::start_tracing();
+  const auto result = engine.run(source, sink, config);
+  const std::string trace = obs::stop_tracing_and_render();
+  ASSERT_TRUE(result.ok()) << result.error().message;
+
+  const RunReport& report = result.value();
+  // Pass 0 is the planning scan, the one read of the CSV; at least two
+  // passes follow, each fetching exactly its members from the spill.
+  ASSERT_GE(report.pass_fingerprints.size(), 3u);
+  EXPECT_EQ(report.pass_fingerprints,
+            test::read_once_passes(data.size(), trace));
+  EXPECT_EQ(report.source_kind, "csv-file");
+  ASSERT_EQ(report.pass_blocks.size(), report.pass_fingerprints.size());
+  EXPECT_EQ(report.pass_blocks[0], 0u);
+  EXPECT_GT(report.file_blocks, 0u);
+  EXPECT_EQ(report.counters.input_users, data.size());
+  EXPECT_TRUE(
+      core::is_k_anonymous(cdr::read_dataset_file(out_path), 2));
+}
+
+TEST(EngineStreaming, BatchWithoutMembersReadsNoBlocks) {
+  // A shard batch whose shards all kept no members (an empty-kept shard
+  // closed into its own batch by an oversized successor) used to re-read
+  // the whole CSV; from the spill it fetches nothing.
+  const test::TempDir dir;
+  synth::SynthConfig synth = synth::civ_like(3'000, 11);
+  synth.days = 1.0;
+  const std::string in_path = dir.file("in.csv");
+  cdr::write_dataset_file(in_path, synth::generate_dataset(synth));
+
+  const Engine engine;
+  RunConfig config;
+  config.strategy = kStrategySharded;
+  config.k = 2;
+  config.sharded.tile_size_m = 0.0;  // adaptive, as the CLI default
+  config.sharded.max_shard_users = 20;
+  config.sharded.workers = 1;
+  CsvFileSource source{in_path};
+  CsvFileSink sink{dir.file("out.csv")};
   const auto result = engine.run(source, sink, config);
   ASSERT_TRUE(result.ok()) << result.error().message;
 
   const RunReport& report = result.value();
-  // Pass 0 is the planning scan; at least one batch pass follows, each
-  // reading the whole source.
-  ASSERT_GE(report.pass_fingerprints.size(), 3u);
-  for (const std::uint64_t count : report.pass_fingerprints) {
-    EXPECT_EQ(count, data.size());
+  ASSERT_EQ(report.pass_blocks.size(), report.pass_fingerprints.size());
+  std::size_t empty_passes = 0;
+  std::uint64_t fetched = 0;
+  for (std::size_t i = 1; i < report.pass_fingerprints.size(); ++i) {
+    fetched += report.pass_fingerprints[i];
+    if (report.pass_fingerprints[i] == 0) {
+      ++empty_passes;
+      EXPECT_EQ(report.pass_blocks[i], 0u) << "pass " << i;
+    } else {
+      EXPECT_GT(report.pass_blocks[i], 0u) << "pass " << i;
+    }
   }
-  EXPECT_EQ(report.counters.input_users, data.size());
-  EXPECT_TRUE(
-      core::is_k_anonymous(cdr::read_dataset_file(out_path), 2));
+  EXPECT_GE(empty_passes, 1u);
+  // Every fingerprint is fetched by exactly one later pass.
+  EXPECT_EQ(fetched, report.pass_fingerprints[0]);
 }
 
 TEST(EngineStreaming, EmptySourceIsInvalidDataset) {

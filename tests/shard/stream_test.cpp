@@ -1,21 +1,28 @@
-// The sharded streaming core: a text-backed source (parse-on-every-pass,
-// like the file source) must reproduce the in-memory pipeline byte for
-// byte, batching must not change the output, per-pass accounting must add
-// up, and a source that changes size between passes must be rejected.
+// The sharded streaming core: a text-backed source (no index, like the
+// CSV file source) must reproduce the in-memory pipeline byte for byte,
+// batching must not change the output, per-pass accounting must add up,
+// and a source without an index is read exactly once, through a private
+// spill that never outlives the run.
 
 #include "glove/shard/stream.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <regex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -48,26 +55,71 @@ ShardConfig small_config() {
   return config;
 }
 
-/// Streams fingerprints out of serialized CSV text, re-parsing on every
-/// pass — the unit-test stand-in for CsvFileSource.
+/// Streams fingerprints out of serialized CSV text, with no index — the
+/// unit-test stand-in for CsvFileSource.  Counts what it yields and how
+/// often it is rewound.
 class TextStream final : public api::DatasetSource {
  public:
-  explicit TextStream(std::string text) : text_{std::move(text)} { rewind(); }
+  explicit TextStream(std::string text) : text_{std::move(text)} { reset(); }
 
   std::string_view kind() const noexcept override { return "text"; }
   std::string name() const override { return "text"; }
   bool next(cdr::Fingerprint& fingerprint) override {
-    return reader_->next(fingerprint);
+    const bool got = reader_->next(fingerprint);
+    if (got) ++yielded_;
+    return got;
   }
   void rewind() override {
+    ++rewinds_;
+    reset();
+  }
+
+  [[nodiscard]] std::uint64_t yielded() const noexcept { return yielded_; }
+  [[nodiscard]] std::uint64_t rewinds() const noexcept { return rewinds_; }
+
+ private:
+  void reset() {
     in_ = std::istringstream{text_};
     reader_.emplace(in_);
   }
 
- private:
   std::string text_;
   std::istringstream in_;
   std::optional<cdr::DatasetStreamReader> reader_;
+  std::uint64_t yielded_ = 0;
+  std::uint64_t rewinds_ = 0;
+};
+
+/// Points TMPDIR — and with it std::filesystem::temp_directory_path(),
+/// under which the stream spills a source without an index — at a fresh
+/// test directory for the scope's lifetime.
+class SpillRoot {
+ public:
+  SpillRoot() {
+    if (const char* old = std::getenv("TMPDIR")) saved_ = old;
+    ::setenv("TMPDIR", dir_.path().c_str(), 1);
+  }
+  ~SpillRoot() {
+    if (saved_) {
+      ::setenv("TMPDIR", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("TMPDIR");
+    }
+  }
+  SpillRoot(const SpillRoot&) = delete;
+  SpillRoot& operator=(const SpillRoot&) = delete;
+
+  /// Entries directly under the root: one spill directory while a run
+  /// holds its spill, none before and after.
+  [[nodiscard]] std::size_t entries() const {
+    return static_cast<std::size_t>(
+        std::distance(std::filesystem::directory_iterator{dir_.path()},
+                      std::filesystem::directory_iterator{}));
+  }
+
+ private:
+  test::TempDir dir_;
+  std::optional<std::string> saved_;
 };
 
 std::vector<cdr::Fingerprint> run_stream(
@@ -79,6 +131,17 @@ std::vector<cdr::Fingerprint> run_stream(
       [&](cdr::Fingerprint&& fp) { groups.push_back(std::move(fp)); });
   if (result_out != nullptr) *result_out = std::move(result);
   return groups;
+}
+
+/// Runs `stream` with the span recorder on and returns the trace.
+std::string run_traced(api::DatasetSource& stream, const ShardConfig& config,
+                       StreamShardedResult* result_out,
+                       std::vector<cdr::Fingerprint>* groups_out = nullptr) {
+  obs::start_tracing();
+  std::vector<cdr::Fingerprint> groups =
+      run_stream(stream, config, result_out);
+  if (groups_out != nullptr) *groups_out = std::move(groups);
+  return obs::stop_tracing_and_render();
 }
 
 TEST(ShardStream, TextBackedStreamMatchesInMemoryPipeline) {
@@ -117,7 +180,8 @@ TEST(ShardStream, BatchBoundariesDoNotChangeTheOutput) {
     config.workers = workers;
     TextStream stream{serialized.str()};
     StreamShardedResult result;
-    std::vector<cdr::Fingerprint> groups = run_stream(stream, config, &result);
+    std::vector<cdr::Fingerprint> groups;
+    const std::string trace = run_traced(stream, config, &result, &groups);
     const std::string csv =
         test::dataset_to_csv(cdr::FingerprintDataset{std::move(groups)});
     if (reference.empty()) {
@@ -125,11 +189,13 @@ TEST(ShardStream, BatchBoundariesDoNotChangeTheOutput) {
     } else {
       EXPECT_EQ(csv, reference) << "workers=" << workers;
     }
-    // Every pass reads the whole stream: one planning scan + >= 1 batch.
+    // The stream is read once: the planning scan yields every
+    // fingerprint, and each later pass (>= 1 batch) exactly its members.
     ASSERT_GE(result.pass_fingerprints.size(), 2u) << "workers=" << workers;
-    for (const std::uint64_t count : result.pass_fingerprints) {
-      EXPECT_EQ(count, data.size());
-    }
+    EXPECT_EQ(result.pass_fingerprints,
+              test::read_once_passes(data.size(), trace))
+        << "workers=" << workers;
+    EXPECT_EQ(stream.yielded(), data.size()) << "workers=" << workers;
   }
 }
 
@@ -208,7 +274,7 @@ TEST(ShardStream, AdaptiveTileSizeResolvesFromTheScanPass) {
 
 TEST(ShardStream, BorderedReconcileBudgetsAreByteIdenticalToInMemory) {
   // The streaming reconciliation (deferred leftovers materialized chunk
-  // by chunk on rewound passes) must reproduce the in-memory pipeline —
+  // by chunk on later passes) must reproduce the in-memory pipeline —
   // and the blessed pre-refactor golden — for every reconcile budget and
   // worker count.  The budget only moves pass boundaries.
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
@@ -420,7 +486,7 @@ TEST(ShardStream, ReconcileChunksRunConcurrentlyWithIdenticalBytes) {
 
   // A wide halo over small shards defers enough sub-k fingerprints for
   // several chunks.  The strictly serial schedule — one worker, one chunk
-  // per rewound pass — is the reference; an unbounded budget puts every
+  // per pass — is the reference; an unbounded budget puts every
   // chunk into one pass, i.e. one concurrent batch.
   ShardConfig config = small_config();
   config.max_shard_users = 4;
@@ -484,21 +550,20 @@ TEST(ShardStream, ReconcilePassAccountingAddsUp) {
   base.max_shard_users = 8;
   base.halo_m = 2'000.0;
 
-  // Tightest budget: every reconcile unit gets its own rewound pass.
+  // Tightest budget: every reconcile unit gets its own pass.
   ShardConfig tight = base;
   tight.workers = 1;
   tight.reconcile_chunk_users = 1;
   TextStream stream{serialized.str()};
   StreamShardedResult tight_result;
-  (void)run_stream(stream, tight, &tight_result);
+  const std::string trace = run_traced(stream, tight, &tight_result);
   ASSERT_GE(tight_result.stats.reconcile_passes, 1u);
-  // Planning scan + >= 1 shard batch + the reconcile passes, every pass
-  // streaming the full dataset.
+  // Planning scan + >= 1 shard batch + the reconcile passes: the scan
+  // yields every fingerprint, each later pass exactly its members.
   EXPECT_GE(tight_result.pass_fingerprints.size(),
             2u + tight_result.stats.reconcile_passes);
-  for (const std::uint64_t count : tight_result.pass_fingerprints) {
-    EXPECT_EQ(count, data.size());
-  }
+  EXPECT_EQ(tight_result.pass_fingerprints,
+            test::read_once_passes(data.size(), trace));
 
   // Unbounded budget: the whole reconcile phase in one pass.
   ShardConfig wide = base;
@@ -511,7 +576,7 @@ TEST(ShardStream, ReconcilePassAccountingAddsUp) {
   EXPECT_GT(tight_result.stats.reconcile_passes,
             wide_result.stats.reconcile_passes);
 
-  // Materialized sources fetch leftovers by index: no rewound passes.
+  // Materialized sources fetch leftovers by index: no later passes.
   api::MemorySource memory_stream{data};
   StreamShardedResult memory_result;
   (void)run_stream(memory_stream, tight, &memory_result);
@@ -550,7 +615,7 @@ TEST(ShardStream, CancellationFiresMidReconcileChunk) {
   cdr::write_dataset_csv(serialized, data);
   ShardConfig config = small_config();
   config.workers = 1;
-  config.reconcile_chunk_users = 1;  // one GLOVE chunk per rewound pass
+  config.reconcile_chunk_users = 1;  // one GLOVE chunk per pass
 
   // Probe run: learn where the reconcile phase starts (progress counts
   // kept fingerprints first) and confirm a reconciliation GLOVE actually
@@ -562,49 +627,121 @@ TEST(ShardStream, CancellationFiresMidReconcileChunk) {
   const std::uint64_t kept =
       data.size() - full.stats.deferred_fingerprints;
 
+  // The cancel lands while the run holds its spill, which must go too.
+  const SpillRoot spill_root;
   util::CancellationToken token;
   util::RunHooks hooks;
   hooks.cancel = token;
+  std::size_t spills_at_cancel = 0;
   hooks.progress = [&](std::uint64_t done, std::uint64_t) {
-    if (done > kept) token.request_cancel();
+    if (done > kept && !token.cancelled()) {
+      spills_at_cancel = spill_root.entries();
+      token.request_cancel();
+    }
   };
   TextStream stream{serialized.str()};
   EXPECT_THROW((void)anonymize_sharded_stream(
                    stream, kGlove, config, [](cdr::Fingerprint&&) {}, hooks),
                util::CancelledError);
+  EXPECT_EQ(spills_at_cancel, 1u);
+  EXPECT_EQ(spill_root.entries(), 0u);
 }
 
-TEST(ShardStream, StreamThatShrinksBetweenPassesIsRejected) {
-  /// Yields the dataset on the first pass, then one fingerprint fewer on
-  /// every later pass — a file truncated mid-run.
-  class ShrinkingStream final : public api::DatasetSource {
-   public:
-    explicit ShrinkingStream(const cdr::FingerprintDataset& data)
-        : data_{&data} {}
-    std::string_view kind() const noexcept override { return "shrinking"; }
-    std::string name() const override { return data_->name(); }
-    bool next(cdr::Fingerprint& fingerprint) override {
-      const std::size_t limit =
-          passes_ == 0 ? data_->size() : data_->size() - 1;
-      if (cursor_ >= limit) return false;
-      fingerprint = (*data_)[cursor_++];
-      return true;
-    }
-    void rewind() override {
-      cursor_ = 0;
-      ++passes_;
-    }
+TEST(ShardStream, SourceWithoutIndexIsReadExactlyOnce) {
+  // The tightest budgets give the most passes; none of them may touch the
+  // source again: pass 1 spills it, every later pass fetches its members
+  // from the spill, and the bytes match the in-memory run.
+  const cdr::FingerprintDataset data = test::small_synth_dataset(80);
+  std::ostringstream serialized;
+  cdr::write_dataset_csv(serialized, data);
+  ShardConfig config = small_config();
+  config.workers = 1;
+  config.reconcile_chunk_users = 1;
 
-   private:
-    const cdr::FingerprintDataset* data_;
-    std::size_t cursor_ = 0;
-    std::size_t passes_ = 0;
-  };
+  api::MemorySource memory{data};
+  std::vector<cdr::Fingerprint> memory_groups =
+      run_stream(memory, config, nullptr);
 
-  const cdr::FingerprintDataset data = test::small_synth_dataset(40);
-  ShrinkingStream stream{data};
-  EXPECT_THROW((void)run_stream(stream, small_config(), nullptr),
-               util::DatasetError);
+  const SpillRoot spill_root;
+  TextStream stream{serialized.str()};
+  StreamShardedResult result;
+  std::vector<cdr::Fingerprint> groups;
+  const std::string trace = run_traced(stream, config, &result, &groups);
+  EXPECT_EQ(stream.yielded(), data.size());
+  EXPECT_EQ(stream.rewinds(), 0u);
+  ASSERT_GE(result.pass_fingerprints.size(), 4u);
+  EXPECT_EQ(result.pass_fingerprints,
+            test::read_once_passes(data.size(), trace));
+  EXPECT_EQ(
+      test::dataset_to_csv(cdr::FingerprintDataset{std::move(groups)}),
+      test::dataset_to_csv(cdr::FingerprintDataset{std::move(memory_groups)}));
+
+  // The spill's accounting: the scan read its footer only, each later pass
+  // fetched blocks, and the spill is gone once the run returns.
+  ASSERT_TRUE(result.spill_io.has_value());
+  const api::SourceIoStats& io = *result.spill_io;
+  ASSERT_EQ(io.pass_blocks.size(), result.pass_fingerprints.size());
+  EXPECT_EQ(io.pass_blocks[0], 0u);
+  std::uint64_t fetched_blocks = 0;
+  for (std::size_t i = 1; i < io.pass_blocks.size(); ++i) {
+    EXPECT_GT(io.pass_blocks[i], 0u) << "pass " << i;
+    EXPECT_LE(io.pass_blocks[i], io.file_blocks) << "pass " << i;
+    fetched_blocks += io.pass_blocks[i];
+  }
+  EXPECT_EQ(io.blocks_read, fetched_blocks);
+  EXPECT_EQ(spill_root.entries(), 0u);
+
+  // An in-memory source is never spilled.
+  StreamShardedResult memory_result;
+  (void)run_stream(memory, config, &memory_result);
+  EXPECT_FALSE(memory_result.spill_io.has_value());
+}
+
+TEST(ShardStream, SpillIsRemovedOnEveryExitPath) {
+  const cdr::FingerprintDataset data = test::small_synth_dataset(60);
+  std::ostringstream serialized;
+  cdr::write_dataset_csv(serialized, data);
+  const ShardConfig config = small_config();
+  const test::TempDir dir;  // made before TMPDIR moves
+  const SpillRoot spill_root;
+
+  // Success: the spill lives under TMPDIR while groups flow, then goes.
+  {
+    TextStream stream{serialized.str()};
+    std::size_t spills_seen = 0;
+    (void)anonymize_sharded_stream(
+        stream, kGlove, config, [&](cdr::Fingerprint&&) {
+          spills_seen = std::max(spills_seen, spill_root.entries());
+        });
+    EXPECT_EQ(spills_seen, 1u);
+    EXPECT_EQ(spill_root.entries(), 0u);
+  }
+
+  // A sink that throws mid-run.
+  {
+    TextStream stream{serialized.str()};
+    EXPECT_THROW((void)anonymize_sharded_stream(
+                     stream, kGlove, config,
+                     [](cdr::Fingerprint&&) {
+                       throw std::runtime_error{"sink failed"};
+                     }),
+                 std::runtime_error);
+    EXPECT_EQ(spill_root.entries(), 0u);
+  }
+
+  // A malformed row mid-file: the spill is half written when pass 1
+  // fails.
+  {
+    std::string text = serialized.str();
+    const std::size_t row = text.find('\n', text.size() / 2) + 1;
+    text.replace(row, text.find('\n', row) - row, "not,a,fingerprint,row");
+    const std::string path = dir.file("malformed.csv");
+    std::ofstream{path} << text;
+    api::CsvFileSource source{path};
+    EXPECT_THROW((void)run_stream(source, config, nullptr),
+                 util::DatasetError);
+    EXPECT_EQ(spill_root.entries(), 0u);
+  }
 }
 
 TEST(ShardStream, EmptyAndSubKStreamsRaiseDatasetError) {

@@ -5,12 +5,19 @@ Reads the JSON run report written by `anonymize_csv --report=...` for a
 file-to-file (CsvFileSource -> CsvFileSink) run and asserts:
 
   * the data plane really was file-to-file (io.source/io.sink);
-  * the source was streamed in multiple passes (planning scan + shard
-    batches + halo-reconcile chunk passes), each covering the full
-    dataset;
+  * the input was read once: the planning scan (pass 0) is the only pass
+    over the source and decoded no blocks of the index it reads
+    (io.pass_blocks[0] == 0).  A CSV input is spilled to a private
+    glovebin by that scan; the report's pass_blocks, file_blocks,
+    blocks_read and bytes_mapped are the spill's;
+  * every later pass (shard batches, then halo-reconcile passes) is a
+    subset fetch: it fetched strictly fewer fingerprints than the scan
+    counted, from a non-empty strict subset of the file's blocks, the
+    later passes together fetched each fingerprint exactly once, and
+    pass_blocks lines up with the passes and sums to blocks_read;
   * the reconciliation itself streamed: the report counts at least
-    --min-reconcile-passes rewound reconcile passes (set 0 for
-    --border=none runs, which defer nothing);
+    --min-reconcile-passes reconcile passes (set 0 for --border=none
+    runs, which defer nothing);
   * the passes add up exactly: one planning scan, one pass per shard
     batch (the obs counter stream.shard_batches) and one per reconcile
     pass (metrics.reconcile_passes), nothing else;
@@ -20,17 +27,12 @@ file-to-file (CsvFileSource -> CsvFileSink) run and asserts:
     contributors counter, before any container overhead), i.e. a strict
     lower bound on the in-memory representation.
 
-Used by the CI "streaming under capped address space" step together with
+Used by the CI "streaming under capped address space" steps together with
 a ulimit -v cap; this script checks the report half of the claim.
 
 With --indexed the report must come from a glovebin-input run
-(GlovebinSource -> CsvFileSink) and additionally prove the block-seek
-fast path: the planning pass decoded no payload blocks (io.pass_blocks[0]
-== 0, it reads the footer index instead), every rewound pass decoded
-strictly fewer blocks than the file holds, and the cumulative
-blocks_read/bytes_mapped accounting is consistent.  Rewound passes of an
-indexed source fetch only the fingerprints they need, so the
-full-dataset-per-pass check is replaced by planning-pass-is-largest.
+(GlovebinSource -> CsvFileSink): the same checks hold, with the planning
+scan served by the input file's own footer index instead of a spill.
 
 Usage:
   python3 tools/check_streaming_report.py REPORT.json [--max-rss-fraction 0.5]
@@ -56,9 +58,8 @@ def main() -> int:
                         help="required halo-reconcile chunk passes "
                              "(default 1; use 0 for --border=none runs)")
     parser.add_argument("--indexed", action="store_true",
-                        help="expect a glovebin-input run and verify the "
-                             "block-seek fast path (pass_blocks/"
-                             "blocks_read/bytes_mapped)")
+                        help="expect a glovebin-input run (the planning "
+                             "scan reads the input's own footer index)")
     args = parser.parse_args()
 
     try:
@@ -80,45 +81,44 @@ def main() -> int:
     if len(passes) < 3:
         failures.append(f"expected a planning pass plus >= 2 batch passes, "
                         f"got {len(passes)}: {passes}")
-    if passes and min(passes) <= 0:
-        failures.append(f"a pass streamed no fingerprints: {passes}")
-    if args.indexed:
-        # Rewound passes fetch subsets, so only the planning pass covers
-        # the full dataset — it must dominate.
-        if passes and passes[0] != max(passes):
-            failures.append(f"planning pass is not the largest (the source "
-                            f"did not report subset fetches?): {passes}")
-    elif passes and len(set(passes)) != 1:
-        failures.append(f"passes streamed different fingerprint counts "
-                        f"(source changed mid-run?): {passes}")
+    if passes and passes[0] <= 0:
+        failures.append(f"the planning scan read no fingerprints: {passes}")
+    for i, count in enumerate(passes[1:], start=1):
+        if not 0 < count < passes[0]:
+            failures.append(
+                f"pass {i} fetched {count} of {passes[0]} fingerprints — "
+                "a pass after the scan must fetch a strict, non-empty "
+                "subset")
+    if passes and sum(passes[1:]) != passes[0]:
+        failures.append(
+            f"later passes fetched {sum(passes[1:])} fingerprints, not the "
+            f"scan's {passes[0]} — each must be fetched exactly once")
 
-    if args.indexed:
-        pass_blocks = io.get("pass_blocks", [])
-        file_blocks = int(io.get("file_blocks", 0))
-        blocks_read = int(io.get("blocks_read", 0))
-        bytes_mapped = int(io.get("bytes_mapped", 0))
-        if file_blocks <= 0:
-            failures.append("report holds no file_blocks")
-        if bytes_mapped <= 0:
-            failures.append("report holds no bytes_mapped")
-        if len(pass_blocks) != len(passes):
-            failures.append(f"pass_blocks {pass_blocks} does not line up "
-                            f"with {len(passes)} passes")
-        if pass_blocks and pass_blocks[0] != 0:
-            failures.append(f"planning pass decoded {pass_blocks[0]} blocks "
-                            "— it should be served from the footer index "
-                            "alone")
-        for i, blocks in enumerate(pass_blocks[1:], start=1):
-            if not 0 < blocks < file_blocks:
-                failures.append(
-                    f"rewound pass {i} decoded {blocks} of {file_blocks} "
-                    "blocks — the block-seek fast path must read a strict, "
-                    "non-empty subset of the file")
-        if blocks_read != sum(pass_blocks):
-            failures.append(f"blocks_read={blocks_read} != "
-                            f"sum(pass_blocks)={sum(pass_blocks)}")
-        print(f"block seeks: {file_blocks} blocks in file; per pass "
-              f"{pass_blocks} ({bytes_mapped / 2**20:.1f} MiB mapped)")
+    pass_blocks = io.get("pass_blocks", [])
+    file_blocks = int(io.get("file_blocks", 0))
+    blocks_read = int(io.get("blocks_read", 0))
+    bytes_mapped = int(io.get("bytes_mapped", 0))
+    if file_blocks <= 0:
+        failures.append("report holds no file_blocks (no index was read)")
+    if bytes_mapped <= 0:
+        failures.append("report holds no bytes_mapped")
+    if len(pass_blocks) != len(passes):
+        failures.append(f"pass_blocks {pass_blocks} does not line up "
+                        f"with {len(passes)} passes")
+    if pass_blocks and pass_blocks[0] != 0:
+        failures.append(f"planning pass decoded {pass_blocks[0]} blocks "
+                        "— it should be served from the footer index alone")
+    for i, blocks in enumerate(pass_blocks[1:], start=1):
+        if not 0 < blocks < file_blocks:
+            failures.append(
+                f"pass {i} decoded {blocks} of {file_blocks} blocks — a "
+                "block fetch must read a strict, non-empty subset of the "
+                "file")
+    if blocks_read != sum(pass_blocks):
+        failures.append(f"blocks_read={blocks_read} != "
+                        f"sum(pass_blocks)={sum(pass_blocks)}")
+    print(f"block fetches: {file_blocks} blocks in file; per pass "
+          f"{pass_blocks} ({bytes_mapped / 2**20:.1f} MiB mapped)")
 
     metrics = doc.get("metrics", {})
     reconcile_passes = int(metrics.get("reconcile_passes", 0))
@@ -141,9 +141,8 @@ def main() -> int:
     if peak == 0:
         failures.append("report holds no peak_rss_bytes")
     ceiling = int(floor * args.max_rss_fraction)
-    print(f"passes over the source: {len(passes)} x "
-          f"{passes[0] if passes else 0} fingerprints "
-          f"({reconcile_passes} reconcile)")
+    print(f"passes: 1 scan of {passes[0] if passes else 0} fingerprints + "
+          f"{len(passes) - 1} fetch passes ({reconcile_passes} reconcile)")
     print(f"materialized floor: {samples:,} samples -> {floor / 2**20:.1f} "
           f"MiB; peak rss {peak / 2**20:.1f} MiB "
           f"(ceiling {ceiling / 2**20:.1f} MiB)")
