@@ -103,6 +103,7 @@ Result<RunReport> Engine::run(DatasetSource& source, DatasetSink& sink,
   RunContext context;
   context.hooks.cancel = config.cancel;
   source.bind_cancel(config.cancel);
+  sink.require_k(config.k);
   std::shared_ptr<MonotoneProgress> progress;
   if (config.progress) {
     progress = std::make_shared<MonotoneProgress>(config.progress);

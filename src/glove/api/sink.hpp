@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -42,9 +43,22 @@ class DatasetSink {
   /// group.
   virtual void begin(const std::string& dataset_name) { (void)dataset_name; }
 
-  /// Accepts the next finalized group (counts, then forwards to the
-  /// implementation).
+  /// Arms the k-anonymity postcondition where bytes leave the process:
+  /// from now on write() rejects a group hiding fewer than `k` users.
+  /// Engine::run and serve's snapshot publisher arm it; an unarmed sink
+  /// (a format conversion) accepts any group.
+  void require_k(std::uint32_t k) noexcept { min_group_size_ = k; }
+
+  /// Accepts the next finalized group (checks, counts, then forwards to
+  /// the implementation).  Throws std::logic_error — kInternal at the
+  /// Engine boundary — on a group smaller than the armed k.
   void write(cdr::Fingerprint group) {
+    if (group.group_size() < min_group_size_) {
+      throw std::logic_error{
+          "k-anonymity violated: a group of " +
+          std::to_string(group.group_size()) +
+          " users reached the sink, k = " + std::to_string(min_group_size_)};
+    }
     static const obs::Counter c_groups = obs::counter("sink.groups_written");
     static const obs::Counter c_samples =
         obs::counter("sink.samples_written");
@@ -67,6 +81,7 @@ class DatasetSink {
 
  private:
   std::uint64_t groups_written_ = 0;
+  std::uint32_t min_group_size_ = 0;
 };
 
 /// Collects groups into an in-memory dataset, named by begin().

@@ -13,6 +13,7 @@
 #include "glove/obs/metrics.hpp"
 #include "glove/obs/span.hpp"
 #include "glove/util/hooks.hpp"
+#include "glove/util/parallel.hpp"
 
 namespace glove::api {
 
@@ -20,6 +21,38 @@ bool MemorySource::next(cdr::Fingerprint& fingerprint) {
   if (cursor_ >= data_->size()) return false;
   fingerprint = (*data_)[cursor_++];
   return true;
+}
+
+bool MemorySource::summaries(std::vector<cdr::FingerprintSummary>& out) {
+  GLOVE_SPAN_NAMED(span, "source.memory.summaries");
+  out.resize(data_->size());
+  util::parallel_for(
+      data_->size(),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          out[i] = cdr::fingerprint_summary((*data_)[i]);
+        }
+      },
+      /*min_chunk=*/64);
+  span.arg("fingerprints", out.size());
+  return true;
+}
+
+std::optional<std::uint64_t> MemorySource::fetch(
+    const std::unordered_map<std::uint32_t, std::uint32_t>& slot_of_id,
+    std::vector<cdr::Fingerprint>& store) {
+  GLOVE_SPAN_NAMED(span, "source.memory.fetch");
+  // glove-lint: allow(unordered-iteration, each id is copied into the
+  // slot the map assigns it; the slots are disjoint, so the store ends up
+  // the same under any traversal order)
+  for (const auto& [id, slot] : slot_of_id) {
+    if (id >= data_->size()) {
+      throw std::out_of_range{"memory source: fingerprint id out of range"};
+    }
+    store[slot] = (*data_)[id];
+  }
+  span.arg("fetched", slot_of_id.size());
+  return slot_of_id.size();
 }
 
 CsvFileSource::CsvFileSource(std::string path)

@@ -2,14 +2,14 @@
 //
 // A source yields fingerprints one at a time.  Multi-pass strategies (the
 // sharded backend plans on a first pass and materializes shard batches on
-// later ones) read it exactly once: an indexed source serves the later
-// passes by block fetch, and any other source is copied into a private
-// SourceSpill on the first pass, so the whole dataset is never in memory
-// and the input file is never re-parsed.  MemorySource adapts an existing
-// in-memory dataset — the legacy dataset-in/dataset-out Engine overload is
-// a thin wrapper around it — and CsvFileSource streams a
-// fingerprint-dataset CSV straight off disk through
-// cdr::DatasetStreamReader.
+// later ones) read it exactly once: an indexed source (GlovebinSource,
+// MemorySource) serves the planning scan from summaries() and the later
+// passes by fetch(), and any other source is copied into a private
+// SourceSpill on the first pass, so the input file is never re-parsed.
+// MemorySource adapts an existing in-memory dataset — the legacy
+// dataset-in/dataset-out Engine overload is a thin wrapper around it — and
+// CsvFileSource streams a fingerprint-dataset CSV straight off disk
+// through cdr::DatasetStreamReader.
 
 #ifndef GLOVE_API_SOURCE_HPP
 #define GLOVE_API_SOURCE_HPP
@@ -71,20 +71,20 @@ class DatasetSource {
   }
 
   /// Zero-copy escape hatch: the backing dataset when this source is an
-  /// adapter over one already in memory, else nullptr.  Streaming
-  /// strategies then read fingerprints by index instead of copy-yielding
-  /// the whole sequence once per pass; the output is identical either
-  /// way.
+  /// adapter over one already in memory, else nullptr.  The Engine's
+  /// collect-then-run fallback then borrows the dataset instead of
+  /// copying it; streaming strategies read every source through
+  /// summaries()/fetch() or a SourceSpill alike.
   [[nodiscard]] virtual const cdr::FingerprintDataset* materialized()
       const noexcept {
     return nullptr;
   }
 
-  /// Index fast path for planning scans: when the source carries
-  /// precomputed per-fingerprint summaries (the exact
-  /// core::fingerprint_bounds geometry plus group size and sample count,
-  /// in stream order), fills `out` and returns true — the caller then
-  /// skips streaming the payload entirely.  Default: unsupported.
+  /// Index fast path for planning scans: when the source can serve
+  /// per-fingerprint summaries (cdr::fingerprint_summary, in stream order:
+  /// a glovebin footer stores them, an in-memory dataset computes them),
+  /// fills `out` and returns true — the caller then skips streaming the
+  /// payload entirely.  Default: unsupported.
   virtual bool summaries(std::vector<cdr::FingerprintSummary>& out) {
     (void)out;
     return false;
@@ -138,7 +138,11 @@ class DatasetSource {
 };
 
 /// Streams an existing in-memory dataset (copies on yield; the dataset
-/// must outlive the source).
+/// must outlive the source).  Serves the index fast paths like a file
+/// source, so a sharded run reads it on the same data plane: summaries()
+/// computes each fingerprint's cdr::fingerprint_summary in parallel on
+/// the shared pool, fetch() copies each requested fingerprint into its
+/// slot.
 class MemorySource final : public DatasetSource {
  public:
   explicit MemorySource(const cdr::FingerprintDataset& data) noexcept
@@ -157,6 +161,10 @@ class MemorySource final : public DatasetSource {
       const noexcept override {
     return data_;
   }
+  bool summaries(std::vector<cdr::FingerprintSummary>& out) override;
+  std::optional<std::uint64_t> fetch(
+      const std::unordered_map<std::uint32_t, std::uint32_t>& slot_of_id,
+      std::vector<cdr::Fingerprint>& store) override;
 
  private:
   const cdr::FingerprintDataset* data_;

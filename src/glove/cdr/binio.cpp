@@ -107,6 +107,21 @@ bool is_glovebin_file(const std::string& path) {
          std::memcmp(head, kMagic, sizeof kMagic) == 0;
 }
 
+FingerprintSummary fingerprint_summary(const Fingerprint& fingerprint) {
+  const core::FingerprintBounds bounds =
+      core::fingerprint_bounds(fingerprint);
+  FingerprintSummary summary;
+  summary.x = bounds.box.x;
+  summary.dx = bounds.box.dx;
+  summary.y = bounds.box.y;
+  summary.dy = bounds.box.dy;
+  summary.t = bounds.interval.t;
+  summary.dt = bounds.interval.dt;
+  summary.group_size = fingerprint.group_size();
+  summary.sample_count = static_cast<std::uint32_t>(fingerprint.size());
+  return summary;
+}
+
 // --- Writer -------------------------------------------------------------
 
 GlovebinWriter::GlovebinWriter(std::string path,
@@ -138,17 +153,10 @@ void GlovebinWriter::write(const Fingerprint& fingerprint) {
     throw std::logic_error{
         path_ + ": GlovebinWriter::write outside a begin/finish window"};
   }
-  const core::FingerprintBounds bounds =
-      core::fingerprint_bounds(fingerprint);
-  FingerprintSummary summary;
-  summary.x = bounds.box.x;
-  summary.dx = bounds.box.dx;
-  summary.y = bounds.box.y;
-  summary.dy = bounds.box.dy;
-  summary.t = bounds.interval.t;
-  summary.dt = bounds.interval.dt;
-  summary.group_size = fingerprint.group_size();
-  summary.sample_count = static_cast<std::uint32_t>(fingerprint.size());
+  const FingerprintSummary summary = fingerprint_summary(fingerprint);
+  const core::FingerprintBounds bounds{
+      SpatialExtent{summary.x, summary.dx, summary.y, summary.dy},
+      TemporalExtent{summary.t, summary.dt}};
 
   if (block_count_ == 0) {
     pending_ = GlovebinBlock{};
@@ -266,9 +274,8 @@ GlovebinReader::GlovebinReader(std::string path) : path_{std::move(path)} {
 #ifdef GLOVE_GLOVEBIN_POSIX
   fd_ = ::open(path_.c_str(), O_RDONLY);
   if (fd_ < 0) bad_file(path_, "cannot open for reading");
-  struct stat st{};
-  if (::fstat(fd_, &st) != 0) bad_file(path_, "cannot stat");
-  file_size = static_cast<std::uint64_t>(st.st_size);
+  identity_ = stat_identity();
+  file_size = static_cast<std::uint64_t>(identity_[1]);
   const auto read_exact = [&](std::uint64_t offset, std::uint64_t len,
                               void* dst) {
     std::uint64_t done = 0;
@@ -383,6 +390,15 @@ GlovebinReader::GlovebinReader(std::string path) : path_{std::move(path)} {
   payload_end_ = summaries_offset;
 }
 
+#ifdef GLOVE_GLOVEBIN_POSIX
+GlovebinReader::FileIdentity GlovebinReader::stat_identity() const {
+  struct stat st{};
+  if (::fstat(fd_, &st) != 0) bad_file(path_, "cannot stat");
+  return FileIdentity{static_cast<std::int64_t>(st.st_ino), st.st_size,
+                      st.st_mtim.tv_sec, st.st_mtim.tv_nsec};
+}
+#endif
+
 GlovebinReader::~GlovebinReader() {
 #ifdef GLOVE_GLOVEBIN_POSIX
   if (fd_ >= 0) ::close(fd_);
@@ -415,6 +431,11 @@ void GlovebinReader::read_blocks(
   const unsigned char* base = nullptr;
   std::vector<unsigned char> buffer;  // non-mmap fallback
 #ifdef GLOVE_GLOVEBIN_POSIX
+  // A file rewritten or truncated in place since open would make the
+  // footer lie about the payload (or SIGBUS inside the mapping).
+  if (stat_identity() != identity_) {
+    throw std::invalid_argument{path_ + ": file changed since it was opened"};
+  }
   const std::uint64_t page =
       static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
   const std::uint64_t map_begin = range_begin & ~(page - 1);

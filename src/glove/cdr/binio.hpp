@@ -29,6 +29,7 @@
 #ifndef GLOVE_CDR_BINIO_HPP
 #define GLOVE_CDR_BINIO_HPP
 
+#include <array>
 #include <cstdint>
 #include <fstream>
 #include <functional>
@@ -71,6 +72,11 @@ struct FingerprintSummary {
   std::uint32_t group_size = 0;
   std::uint32_t sample_count = 0;
 };
+
+/// The footer entry of `fingerprint`: the one definition of a summary,
+/// shared by the glovebin writer and api::MemorySource.
+[[nodiscard]] FingerprintSummary fingerprint_summary(
+    const Fingerprint& fingerprint);
 
 /// Block-index footer entry.
 struct GlovebinBlock {
@@ -172,6 +178,8 @@ class GlovebinReader {
   /// mmap per run.  Fingerprints are reconstructed with
   /// Fingerprint::from_time_sorted — byte-identical to what the CSV path
   /// fed through the Fingerprint constructor when the file was written.
+  /// Throws std::invalid_argument with the path on a corrupt block, and
+  /// when the file's inode, size or mtime moved since it was opened (POSIX).
   void read_blocks(
       std::size_t first_block, std::size_t last_block,
       const std::function<void(std::uint64_t, Fingerprint&&)>& fn);
@@ -194,6 +202,11 @@ class GlovebinReader {
   std::uint64_t blocks_read_ = 0;
   std::uint64_t bytes_mapped_ = 0;
   int fd_ = -1;  ///< POSIX descriptor; -1 when using the stream fallback
+  /// Inode, size, mtime seconds and nanoseconds (POSIX only): recorded at
+  /// open, and read_blocks() refuses a file whose identity moved since.
+  using FileIdentity = std::array<std::int64_t, 4>;
+  [[nodiscard]] FileIdentity stat_identity() const;
+  FileIdentity identity_{};
 };
 
 /// Bulk conveniences mirroring the CSV pair: whole-dataset write/read.

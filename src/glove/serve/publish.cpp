@@ -131,6 +131,7 @@ void SnapshotPublisher::write_snapshot(EpochResult& result) {
   {
     const std::unique_ptr<api::DatasetSink> sink =
         api::make_dataset_sink(tmp, config_->snapshot_format);
+    sink->require_k(config_->run.k);
     sink->begin(published_.name());
     for (const cdr::Fingerprint& fp : published_.fingerprints()) {
       sink->write(fp);

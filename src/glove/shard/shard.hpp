@@ -34,10 +34,9 @@ struct ShardedStats {
   std::size_t deferred_fingerprints = 0;
   std::size_t reconciled_groups = 0;
   std::size_t absorbed_leftovers = 0;
-  /// Rewound passes over the source spent materializing reconciliation
-  /// units — pass-throughs, chunks and the policy tail (streaming runs
-  /// with a true — non-materialized — source only; 0 for in-memory runs,
-  /// which fetch leftovers by index).
+  /// Passes that fetched reconciliation units — pass-throughs, chunks and
+  /// the policy tail — one per reconcile_chunk_users budget, for every
+  /// source kind; 0 when nothing was deferred.
   std::size_t reconcile_passes = 0;
   /// Tile edge actually used: the configured tile_size_m, or the
   /// density-derived choice when the config asked for adaptive (0).

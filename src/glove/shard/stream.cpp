@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -39,40 +38,20 @@ struct StreamScan {
   std::uint64_t samples = 0;
 };
 
-/// Pass 1.  A source with neither index is read here, exactly once: the
-/// scan copies it into `spill`, whose footer then serves the geometry
-/// like any indexed source's, and every later pass fetches from the spill.
+/// Pass 1.  An indexed source (a glovebin file's footer, or an in-memory
+/// dataset's computed summaries) serves the geometry directly.  A source
+/// with no index is read here, exactly once: the scan copies it into
+/// `spill`, whose footer then serves the geometry, and every later pass
+/// fetches from the spill.
 StreamScan scan_stream(api::DatasetSource& source,
                        std::unique_ptr<api::SourceSpill>& spill,
                        const util::RunHooks& hooks) {
-  StreamScan scan;
   std::vector<cdr::FingerprintSummary> summaries;
   if (!source.summaries(summaries)) {
-    if (const cdr::FingerprintDataset* data = source.materialized()) {
-      // Materialized sources are scanned by index with parallel bounds
-      // computation, no copies.
-      scan.bounds.resize(data->size());
-      util::parallel_for(
-          data->size(),
-          [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-              scan.bounds[i] = core::fingerprint_bounds((*data)[i]);
-            }
-          },
-          /*min_chunk=*/64);
-      scan.group_sizes.reserve(data->size());
-      for (const cdr::Fingerprint& fp : data->fingerprints()) {
-        scan.group_sizes.push_back(fp.group_size());
-      }
-      scan.users = data->total_users();
-      scan.samples = data->total_samples();
-      return scan;
-    }
     spill = std::make_unique<api::SourceSpill>(source, hooks);
     spill->source().summaries(summaries);
   }
-  // The index persisted the exact fingerprint_bounds fields, so the scan
-  // is a footer read — no payload decode at all.
+  StreamScan scan;
   scan.bounds.reserve(summaries.size());
   scan.group_sizes.reserve(summaries.size());
   for (const cdr::FingerprintSummary& s : summaries) {
@@ -86,43 +65,43 @@ StreamScan scan_stream(api::DatasetSource& source,
   return scan;
 }
 
-/// The units a pass loop walks, each the dataset ids one unit
-/// materializes: a shard's kept set in the shard-batch loop; the
-/// pass-throughs, one GLOVE chunk or the policy tail in the reconcile
-/// loop.
-using Units = std::vector<const std::vector<std::uint32_t>*>;
+/// One unit a pass materializes: a shard's kept set, the reconcile
+/// pass-throughs, one reconcile GLOVE chunk or the policy tail.  A phase
+/// lists its units in output order, each kind contiguous: the shards;
+/// then the pass-throughs, the chunks and the tail.
+struct Unit {
+  enum class Kind { kShard, kPassthrough, kChunk, kTail };
+  Kind kind = Kind::kShard;
+  std::size_t index = 0;  ///< shard index, or chunk index in plan order
+  const std::vector<std::uint32_t>* ids = nullptr;  ///< dataset ids
+};
+using Units = std::vector<Unit>;
 
-/// One materialization pass, the step the shard-batch and reconcile loops
-/// share.  The constructor closes the pass: units from `first` on join it
-/// until the next one would push its members past `budget` (a single
-/// oversized unit still forms a pass of its own).  materialize() then
-/// makes the pass's fingerprints available to take(): a materialized()
-/// source hands them out by index (one copy each); an indexed source (the
-/// input's own index, or its spill) fetches exactly the pass's ids from
-/// the blocks holding them.
+/// One materialization pass.  The constructor closes the pass: units
+/// from `first` on join it until the next one would push its members
+/// past `budget` (a single oversized unit still forms a pass of its own).
+/// materialize() then fetches exactly the pass's ids from the source's
+/// index (its own, or its spill's) for take() to hand out.
 class Pass {
  public:
   Pass(const Units& units, std::size_t first, std::size_t budget)
       : last{first}, first_{first}, units_{&units} {
     while (last < units.size()) {
-      const std::size_t size = units[last]->size();
+      const std::size_t size = units[last].ids->size();
       if (last > first && members + size > budget) break;
       members += size;
       ++last;
     }
   }
 
-  /// Materializes the pass's units out of `source`.  Returns whether the
-  /// source was read; if so the pass's fingerprint count is appended to
-  /// `pass_fingerprints`.
-  bool materialize(api::DatasetSource& source,
+  /// Fetches the pass's fingerprints out of `source` and appends their
+  /// count to `pass_fingerprints`.
+  void materialize(api::DatasetSource& source,
                    std::vector<std::uint64_t>& pass_fingerprints) {
-    inmem_ = source.materialized();
-    if (inmem_ != nullptr) return false;
     slot_of_id_.reserve(members);
     std::uint32_t next_slot = 0;
     for (std::size_t u = first_; u < last; ++u) {
-      for (const std::uint32_t id : *(*units_)[u]) {
+      for (const std::uint32_t id : *(*units_)[u].ids) {
         slot_of_id_[id] = next_slot++;
       }
     }
@@ -139,12 +118,10 @@ class Pass {
           std::to_string(store_.size()) + " fingerprints a pass requested"};
     }
     pass_fingerprints.push_back(*fetched);
-    return true;
   }
 
   /// Hands out the fingerprint with dataset index `id` (once per id).
   cdr::Fingerprint take(std::uint32_t id) {
-    if (inmem_ != nullptr) return (*inmem_)[id];
     return std::move(store_[slot_of_id_.at(id)]);
   }
 
@@ -157,36 +134,24 @@ class Pass {
  private:
   std::size_t first_;
   const Units* units_;
-  const cdr::FingerprintDataset* inmem_ = nullptr;
   std::unordered_map<std::uint32_t, std::uint32_t> slot_of_id_;
   std::vector<cdr::Fingerprint> store_;
 };
 
-/// One GLOVE job of a batch: a planned shard, or one halo-reconciliation
-/// chunk.  Both run the same pruned GLOVE over `inputs`; the kind only
+/// One GLOVE job of a pass: a shard's kept set, or one reconcile chunk.
+/// Both run the same pruned GLOVE over `inputs`; the unit's kind only
 /// picks the trace span and the plane counters the job is billed to
 /// (stream.shard / stream.shards_run vs stream.reconcile.chunk).
-/// `progress`, when set, receives the job's inner GLOVE progress in that
-/// run's own units, on a pool thread.
+/// run_batch fills `groups`, the cost counters the caller folds via
+/// GloveStats::accumulate_costs, and the shard's report row.
 struct Job {
-  bool reconcile_chunk = false;
-  std::size_t index = 0;  ///< shard index, or chunk index in plan order
+  Unit unit;
   std::vector<cdr::Fingerprint> inputs;
-  util::ProgressFn progress;
-};
-
-/// What one job produced: the finalized groups, the cost counters the
-/// caller folds via GloveStats::accumulate_costs, and the timing row (the
-/// run report's per-shard row for shard jobs).
-struct JobResult {
-  ShardTiming timing;
+  util::ProgressFn progress;  ///< inner GLOVE progress, on a pool thread
+  ShardTiming* timing = nullptr;  ///< the shard's row; null for a chunk
   std::vector<cdr::Fingerprint> groups;
   core::GloveStats stats;
 };
-
-/// Called once per completed job, on a pool thread (the caller makes it
-/// thread-safe); drives progress reporting.
-using JobResultFn = std::function<void(const JobResult&)>;
 
 /// Threads of the pool every batch runs on: `config.workers` (0 = the
 /// shared-pool default), capped at `max_batch_jobs` — the larger of the
@@ -199,40 +164,30 @@ std::size_t pool_size(const ShardConfig& config, std::size_t max_batch_jobs) {
                   std::max<std::size_t>(max_batch_jobs, 1));
 }
 
-/// Runs one batch (a shard batch, or one reconcile pass's chunks) on
-/// `pool`, invoking `on_result` as each job completes and returning the
-/// results in job order.  Identical jobs yield identical groups whatever
-/// the pool size or scheduling.  Cancellation propagates from
-/// `hooks.cancel` as util::CancelledError.
-std::vector<JobResult> run_batch(util::ThreadPool& pool,
-                                 const core::GloveConfig& glove,
-                                 std::vector<Job> jobs,
-                                 const JobResultFn& on_result,
-                                 const util::RunHooks& hooks) {
+/// Runs one pass's jobs as a batch on `pool`.  Identical jobs yield
+/// identical groups whatever the pool size or scheduling.  Cancellation
+/// propagates from `hooks.cancel` as util::CancelledError.
+void run_batch(util::ThreadPool& pool, const core::GloveConfig& glove,
+               std::vector<Job>& jobs, const util::RunHooks& hooks) {
   // Reconcile chunks are counted where the chunks are planned, never as
   // shards.
   static const obs::Counter c_shards = obs::counter("stream.shards_run");
   static const obs::Histogram h_shard_members =
       obs::histogram("stream.shard.members");
 
-  std::vector<JobResult> results(jobs.size());
   util::parallel_for(
       pool, jobs.size(),
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t j = begin; j < end; ++j) {
           hooks.throw_if_cancelled();
           Job& job = jobs[j];
-          JobResult& out = results[j];
+          const bool chunk = job.unit.kind == Unit::Kind::kChunk;
           const std::size_t members = job.inputs.size();
-          out.timing.shard = job.index;
-          out.timing.input_fingerprints = members;
-          if (job.inputs.empty()) continue;
-          GLOVE_SPAN_NAMED(job_span, job.reconcile_chunk
-                                         ? "stream.reconcile.chunk"
-                                         : "stream.shard");
-          job_span.arg(job.reconcile_chunk ? "chunk" : "shard", job.index);
+          GLOVE_SPAN_NAMED(job_span,
+                           chunk ? "stream.reconcile.chunk" : "stream.shard");
+          job_span.arg(chunk ? "chunk" : "shard", job.unit.index);
           job_span.arg("members", members);
-          if (!job.reconcile_chunk) {
+          if (!chunk) {
             c_shards.add();
             h_shard_members.observe(members);
           }
@@ -242,18 +197,18 @@ std::vector<JobResult> run_batch(util::ThreadPool& pool,
           const auto start = Clock::now();
           core::GloveResult run = core::anonymize_pruned(
               cdr::FingerprintDataset{std::move(job.inputs)}, glove, inner);
-          out.timing.init_seconds = run.stats.init_seconds;
-          out.timing.merge_seconds = run.stats.merge_seconds;
-          out.timing.total_seconds = seconds_since(start);
-          out.timing.output_groups = run.anonymized.size();
+          if (job.timing != nullptr) {
+            job.timing->init_seconds = run.stats.init_seconds;
+            job.timing->merge_seconds = run.stats.merge_seconds;
+            job.timing->total_seconds = seconds_since(start);
+            job.timing->output_groups = run.anonymized.size();
+          }
           job_span.arg("groups", run.anonymized.size());
-          out.groups = std::move(run.anonymized.mutable_fingerprints());
-          out.stats = run.stats;
-          on_result(out);
+          job.groups = std::move(run.anonymized.mutable_fingerprints());
+          job.stats = run.stats;
         }
       },
       /*min_chunk=*/1);
-  return results;
 }
 
 }  // namespace
@@ -400,12 +355,11 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
     }
   };
 
-  // --- Passes 2..: materialize and run contiguous shard batches on the
-  // in-process pool.  The batch budget caps resident fingerprints at
-  // roughly one shard per pool worker, which also keeps the workers
-  // busy.  The pool also runs the reconcile chunks, so it is sized for
-  // whichever phase has more jobs: a plan with few shards but many
-  // chunks still reconciles in parallel.
+  // --- Passes 2..: the shard batches, then the reconcile passes.  The
+  // batch budget caps resident fingerprints at roughly one shard per pool
+  // worker, which also keeps the workers busy.  The pool also runs the
+  // reconcile chunks, so it is sized for whichever phase has more jobs: a
+  // plan with few shards but many chunks still reconciles in parallel.
   util::ThreadPool pool{
       pool_size(resolved, std::max(shard_count, rplan.chunks.size()))};
   const std::size_t batch_budget =
@@ -416,67 +370,121 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   std::mutex progress_mutex;
   std::uint64_t done = 0;
 
+  // The one pass loop.  Each pass materializes a budget's worth of
+  // contiguous units, delivers its pass-throughs, runs its GLOVE units
+  // (shards, or reconcile chunks) as one batch on the pool, delivers their
+  // groups in unit order, then absorbs or suppresses the policy tail (a
+  // non-empty tail means the plan has no chunks, so every group the tail
+  // may join is already held).
+  const auto run_passes = [&](const Units& units, std::size_t budget) {
+    for (std::size_t first = 0; first < units.size();) {
+      Pass pass{units, first, budget};
+      const bool shards = units[first].kind == Unit::Kind::kShard;
+      GLOVE_SPAN_NAMED(pass_span, shards ? "stream.shard_batch"
+                                         : "stream.reconcile.pass");
+      std::string log_line;
+      if (shards) {
+        pass_span.arg("first_shard", units[first].index);
+        pass_span.arg("shards", pass.last - first);
+        log_line = obs::log_kv("first_shard", units[first].index) + ' ' +
+                   obs::log_kv("shards", pass.last - first);
+        c_batches.add();
+      } else {
+        pass_span.arg("units", pass.last - first);
+        log_line = obs::log_kv("units", pass.last - first);
+        ++result.stats.reconcile_passes;
+      }
+      pass_span.arg("members", pass.members);
+      if (obs::log_verbose()) {
+        obs::log_info(shards ? "stream.batch" : "stream.reconcile",
+                      log_line + ' ' + obs::log_kv("members", pass.members));
+      }
+      pass.materialize(reader, result.pass_fingerprints);
+
+      // Inner GLOVE progress arrives per job in util::subrange_hooks units
+      // of its members; it is summed across the batch's concurrent jobs
+      // under the lock, so the reported total stays monotone.
+      std::vector<Job> jobs;
+      std::vector<std::uint64_t> job_done;
+      std::uint64_t batch_done = 0;
+      std::vector<cdr::Fingerprint> tail;
+      for (std::size_t u = first; u < pass.last; ++u) {
+        const Unit& unit = units[u];
+        if (unit.kind == Unit::Kind::kPassthrough) {
+          for (const std::uint32_t id : *unit.ids) deliver(pass.take(id));
+          done += unit.ids->size();
+          hooks.report(done, total_work);
+          continue;
+        }
+        if (unit.kind == Unit::Kind::kTail) {
+          for (const std::uint32_t id : *unit.ids) {
+            tail.push_back(pass.take(id));
+          }
+          continue;
+        }
+        // An empty kept set runs nothing and keeps its zeroed timing row.
+        if (unit.ids->empty()) continue;
+        const std::size_t j = jobs.size();
+        Job& job = jobs.emplace_back();
+        job.unit = unit;
+        job.inputs.reserve(unit.ids->size());
+        for (const std::uint32_t id : *unit.ids) {
+          job.inputs.push_back(pass.take(id));
+        }
+        if (unit.kind == Unit::Kind::kShard) {
+          job.timing = &result.shard_timings[unit.index];
+        } else {
+          c_chunks.add();
+        }
+        if (hooks.progress) {
+          util::RunHooks forward;
+          forward.progress = [&, j, base = done](std::uint64_t units_done,
+                                                 std::uint64_t) {
+            const std::lock_guard lock{progress_mutex};
+            if (units_done <= job_done[j]) return;
+            batch_done += units_done - job_done[j];
+            job_done[j] = units_done;
+            hooks.report(base + batch_done, total_work);
+          };
+          job.progress = util::subrange_hooks(forward, 0, job.inputs.size(),
+                                              total_work)
+                             .progress;
+        }
+      }
+      pass.release();
+
+      job_done.assign(jobs.size(), 0);
+      run_batch(pool, glove, jobs, hooks);
+      for (Job& job : jobs) {
+        result.stats.glove.accumulate_costs(job.stats);
+        if (job.unit.kind == Unit::Kind::kChunk) {
+          result.stats.reconciled_groups += job.groups.size();
+        }
+        done += job.unit.ids->size();
+        for (cdr::Fingerprint& fp : job.groups) deliver(std::move(fp));
+      }
+      if (!jobs.empty()) hooks.report(done, total_work);
+
+      if (!tail.empty()) {
+        const std::uint64_t tail_size = tail.size();
+        result.stats.absorbed_leftovers = reconcile_tail(
+            std::move(tail), held, glove, result.stats.glove,
+            util::subrange_hooks(hooks, done, tail_size, total_work));
+        done += tail_size;
+      }
+      first = pass.last;
+    }
+  };
+
   Units shard_units;
   shard_units.reserve(shard_count);
-  for (const std::vector<std::uint32_t>& kept : split.kept) {
-    shard_units.push_back(&kept);
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    shard_units.push_back(Unit{Unit::Kind::kShard, s, &split.kept[s]});
   }
-  for (std::size_t first = 0; first < shard_count;) {
-    Pass batch{shard_units, first, batch_budget};
-    GLOVE_SPAN_NAMED(batch_span, "stream.shard_batch");
-    batch_span.arg("first_shard", first);
-    batch_span.arg("shards", batch.last - first);
-    batch_span.arg("members", batch.members);
-    c_batches.add();
-    if (obs::log_verbose()) {
-      obs::log_info("stream.batch",
-                    obs::log_kv("first_shard", first) + ' ' +
-                        obs::log_kv("shards", batch.last - first) + ' ' +
-                        obs::log_kv("members", batch.members));
-    }
-    batch.materialize(reader, result.pass_fingerprints);
+  run_passes(shard_units, batch_budget);
 
-    // Turn the batch into shard jobs (empty kept sets run nothing and
-    // keep their zeroed timing row); results come back in job = shard
-    // order.
-    std::vector<Job> jobs;
-    jobs.reserve(batch.last - first);
-    for (std::size_t s = first; s < batch.last; ++s) {
-      if (split.kept[s].empty()) continue;
-      Job& job = jobs.emplace_back();
-      job.index = s;
-      job.inputs.reserve(split.kept[s].size());
-      for (const std::uint32_t id : split.kept[s]) {
-        job.inputs.push_back(batch.take(id));
-      }
-    }
-    batch.release();
-
-    const JobResultFn on_result = [&](const JobResult& r) {
-      const std::lock_guard lock{progress_mutex};
-      done += r.timing.input_fingerprints;
-      hooks.report(done, total_work);
-    };
-    std::vector<JobResult> batch_results = run_batch(
-        pool, glove, std::move(jobs), on_result, hooks);
-
-    for (JobResult& r : batch_results) {
-      result.stats.glove.accumulate_costs(r.stats);
-      ShardTiming& timing = result.shard_timings[r.timing.shard];
-      timing.init_seconds = r.timing.init_seconds;
-      timing.merge_seconds = r.timing.merge_seconds;
-      timing.total_seconds = r.timing.total_seconds;
-      timing.output_groups = r.timing.output_groups;
-      for (cdr::Fingerprint& fp : r.groups) {
-        deliver(std::move(fp));
-      }
-    }
-    first = batch.last;
-  }
-
-  // --- Reconcile cross-shard leftovers: materialize one budget's worth
-  // of reconcile units per pass — the leftover analogue of the
-  // shard batches — and run the pass's GLOVE chunks as one batch.  Chunk
+  // --- Reconcile cross-shard leftovers: one budget's worth of reconcile
+  // units per pass, the leftover analogue of the shard batches.  Chunk
   // membership is fixed by the plan, so the chunks are independent jobs
   // exactly like shards.  No fingerprint is held before the pass that
   // consumes it.  Appended groups (deferred >= k pass-throughs, then the
@@ -485,116 +493,22 @@ StreamShardedResult anonymize_sharded_stream(api::DatasetSource& source,
   GLOVE_SPAN_NAMED(reconcile_span, "stream.reconcile");
   reconcile_span.arg("deferred", deferred_total);
   const auto reconcile_start = Clock::now();
-
-  // A pass covers a contiguous run of units in phase order: the >= k
-  // pass-throughs, each GLOVE chunk, then the policy tail.
-  Units units;
-  units.reserve(rplan.chunks.size() + 2);
-  if (!rplan.passthrough.empty()) units.push_back(&rplan.passthrough);
-  for (const std::vector<std::uint32_t>& chunk : rplan.chunks) {
-    units.push_back(&chunk);
+  Units reconcile_units;
+  reconcile_units.reserve(rplan.chunks.size() + 2);
+  if (!rplan.passthrough.empty()) {
+    reconcile_units.push_back(
+        Unit{Unit::Kind::kPassthrough, 0, &rplan.passthrough});
   }
-  if (!rplan.tail.empty()) units.push_back(&rplan.tail);
-  const auto is_chunk = [&](std::size_t u) {
-    return units[u] != &rplan.passthrough && units[u] != &rplan.tail;
-  };
-  const std::size_t reconcile_budget =
-      resolved.reconcile_chunk_users > 0 ? resolved.reconcile_chunk_users
-                                         : batch_budget;
-
-  std::size_t next_chunk = 0;  // plan index of the pass's first chunk
-  for (std::size_t first_u = 0; first_u < units.size();) {
-    Pass pass{units, first_u, reconcile_budget};
-    GLOVE_SPAN_NAMED(pass_span, "stream.reconcile.pass");
-    pass_span.arg("units", pass.last - first_u);
-    pass_span.arg("members", pass.members);
-    if (obs::log_verbose()) {
-      obs::log_info("stream.reconcile",
-                    obs::log_kv("units", pass.last - first_u) + ' ' +
-                        obs::log_kv("members", pass.members));
-    }
-    if (pass.materialize(reader, result.pass_fingerprints)) {
-      ++result.stats.reconcile_passes;
-    }
-
-    // Units are contiguous in phase order, so a pass is: pass-throughs
-    // (first pass only), then chunks, then the tail (last pass only).
-    std::size_t u = first_u;
-    if (u < pass.last && units[u] == &rplan.passthrough) {
-      for (const std::uint32_t id : rplan.passthrough) {
-        deliver(pass.take(id));
-      }
-      done += rplan.passthrough.size();
-      hooks.report(done, total_work);
-      ++u;
-    }
-
-    // The pass's chunks: one batch, results in plan order.  Per-chunk
-    // progress (in util::subrange_hooks units) is summed across
-    // concurrent chunks under the lock, so the reported total stays
-    // monotone.
-    const std::uint64_t chunk_base = done;
-    std::uint64_t chunk_sum = 0;
-    std::vector<std::uint64_t> chunk_done;
-    const auto advance = [&](std::size_t j, std::uint64_t units_done) {
-      if (units_done <= chunk_done[j]) return;
-      chunk_sum += units_done - chunk_done[j];
-      chunk_done[j] = units_done;
-      hooks.report(chunk_base + chunk_sum, total_work);
-    };
-    std::vector<Job> jobs;
-    for (; u < pass.last && is_chunk(u); ++u) {
-      const std::size_t j = jobs.size();
-      Job& job = jobs.emplace_back();
-      job.reconcile_chunk = true;
-      job.index = next_chunk + j;
-      job.inputs.reserve(units[u]->size());
-      for (const std::uint32_t id : *units[u]) {
-        job.inputs.push_back(pass.take(id));
-      }
-      if (hooks.progress) {
-        util::RunHooks forward;
-        forward.progress = [&, j](std::uint64_t units_done, std::uint64_t) {
-          const std::lock_guard lock{progress_mutex};
-          advance(j, units_done);
-        };
-        job.progress = util::subrange_hooks(forward, 0, job.inputs.size(),
-                                            total_work)
-                           .progress;
-      }
-      c_chunks.add();
-    }
-    chunk_done.assign(jobs.size(), 0);
-    if (!jobs.empty()) {
-      const JobResultFn on_result = [&](const JobResult& r) {
-        const std::lock_guard lock{progress_mutex};
-        advance(r.timing.shard - next_chunk, r.timing.input_fingerprints);
-      };
-      std::vector<JobResult> chunk_results = run_batch(
-          pool, glove, std::move(jobs), on_result, hooks);
-      for (JobResult& r : chunk_results) {
-        result.stats.glove.accumulate_costs(r.stats);
-        result.stats.reconciled_groups += r.groups.size();
-        done += r.timing.input_fingerprints;
-        for (cdr::Fingerprint& fp : r.groups) deliver(std::move(fp));
-      }
-      next_chunk += chunk_results.size();
-    }
-
-    // The policy tail: suppressed, or absorbed into the held groups (a
-    // non-empty tail means the plan has no chunks, so every group the
-    // tail may join is already held).
-    if (u < pass.last) {
-      std::vector<cdr::Fingerprint> tail;
-      tail.reserve(rplan.tail.size());
-      for (const std::uint32_t id : rplan.tail) tail.push_back(pass.take(id));
-      result.stats.absorbed_leftovers = reconcile_tail(
-          std::move(tail), held, glove, result.stats.glove,
-          util::subrange_hooks(hooks, done, rplan.tail.size(), total_work));
-      done += rplan.tail.size();
-    }
-    first_u = pass.last;
+  for (std::size_t c = 0; c < rplan.chunks.size(); ++c) {
+    reconcile_units.push_back(Unit{Unit::Kind::kChunk, c, &rplan.chunks[c]});
   }
+  if (!rplan.tail.empty()) {
+    reconcile_units.push_back(Unit{Unit::Kind::kTail, 0, &rplan.tail});
+  }
+  run_passes(reconcile_units,
+             resolved.reconcile_chunk_users > 0
+                 ? resolved.reconcile_chunk_users
+                 : batch_budget);
   result.stats.reconcile_seconds = seconds_since(reconcile_start);
   for (cdr::Fingerprint& fp : held) publish(std::move(fp));
 

@@ -1,38 +1,33 @@
 // Streaming execution of the sharded backend: the run boundary for
-// datasets larger than RAM.  The input is an api::DatasetSource, read
-// exactly once.
+// datasets larger than RAM.  The input is an api::DatasetSource, read on
+// one data plane whatever its kind: the planning scan takes its
+// summaries() and every later pass fetch()es exactly the fingerprints it
+// needs.  A glovebin file serves both from its footer and blocks, an
+// in-memory api::MemorySource computes and copies them, and a source
+// without an index (CSV) is read exactly once, into a private
+// api::SourceSpill that serves them instead.
 //
-//   pass 1  — scan the source once, keeping only per-fingerprint bounding
-//             geometry (+ group size): enough to tile, plan shards and
-//             compute the kept/deferred border split without ever holding
-//             the samples.  An indexed source (glovebin) serves the scan
-//             from its footer; a source without an index (CSV) is copied
-//             by the same scan into a private api::SourceSpill, whose
-//             footer then serves it;
-//   pass 2+ — one pass per shard batch, fetching from the index (the
-//             input's own, or the spill's) only the fingerprints of the
-//             shards currently running; finished groups are pushed to the
-//             emitter as each batch completes and freed immediately;
-//   pass N+ — one pass per reconciliation budget: the deferred border
-//             leftovers are partitioned into locality-sorted GLOVE chunks
-//             from their pass-1 bounds alone (planned right after the
-//             border split) and each pass materializes one budget's worth
-//             (reconcile_chunk_users), mirroring the shard batches.  A
-//             pass's chunks are independent GLOVE jobs, so they run
-//             concurrently as one batch on the same in-process pool as
-//             the shards, and their groups are emitted in plan order.
+//   pass 1  — the scan keeps only per-fingerprint bounding geometry (+
+//             group size): enough to tile, plan shards, split the border
+//             and plan the reconciliation without ever holding samples;
+//   pass 2+ — one loop walks the run's units a budget's worth per pass:
+//             first the shards' kept sets (max_shard_users x workers per
+//             pass), then the reconciliation's deferred >= k
+//             pass-throughs, its locality-sorted GLOVE chunks and its
+//             policy tail (reconcile_chunk_users per pass).  A pass's
+//             shards or chunks are independent GLOVE jobs that run as one
+//             batch on an in-process pool; their groups are emitted in
+//             unit order and freed at once.
 //
-// Peak sample memory is O(largest batch) — bounded by max_shard_users x
-// pool workers for the shard phase, and for the halo reconciliation
-// by reconcile_chunk_users materialized members plus at most `workers`
-// in-flight chunk candidate heaps — instead of O(dataset) or O(borders).
-// The output bytes are the same for every source kind (an in-memory
-// api::MemorySource, a spilled CSV, an indexed glovebin), every budget
-// and every worker count.  Every reconciliation runs through the same
-// passes, including the rare absorb-leftovers tail (fewer than k sub-k
-// leftovers under kMergeIntoNearest): absorption may rewrite any
-// already-finalized group, so that run holds the output groups until the
-// reconcile pass that reads the tail has absorbed it, then emits them.
+// Peak sample memory is O(largest pass) — bounded by max_shard_users x
+// pool workers for the shards, and by reconcile_chunk_users members plus
+// at most `workers` in-flight chunk candidate heaps for the halo
+// reconciliation — instead of O(dataset) or O(borders).  The output bytes
+// and the pass structure are the same for every source kind, and the
+// bytes for every budget and worker count.  The rare absorb-leftovers
+// tail (fewer than k sub-k leftovers under kMergeIntoNearest) may rewrite
+// any already-finalized group, so that run holds the output groups until
+// the pass that reads the tail has absorbed it, then emits them.
 
 #ifndef GLOVE_SHARD_STREAM_HPP
 #define GLOVE_SHARD_STREAM_HPP
@@ -56,12 +51,11 @@ struct StreamShardedResult {
   ShardedStats stats;
   /// Per-shard sizes and wall-clock, in shard order.
   std::vector<ShardTiming> shard_timings;
-  /// Fingerprints read on each pass (the planning scan, one entry per
-  /// shard-batch materialization pass, then one per reconciliation pass —
-  /// stats.reconcile_passes counts those).  A materialized() source is
-  /// read by index, so it reports the single scan pass.  Otherwise the
-  /// scan counts the whole dataset and each later pass exactly the
-  /// fingerprints it fetched, so the later passes sum to the scan's count.
+  /// Fingerprints read on each pass, the same for every source kind: the
+  /// planning scan counts the whole dataset, then each shard-batch pass
+  /// and each reconciliation pass (stats.reconcile_passes counts those)
+  /// exactly the fingerprints it fetched, so the later passes sum to the
+  /// scan's count.
   std::vector<std::uint64_t> pass_fingerprints;
   /// The spill's io accounting when pass 1 spilled the source (pass_blocks
   /// aligned with pass_fingerprints, 0 for the scan); nullopt otherwise.
@@ -82,8 +76,8 @@ struct StreamShardedResult {
 /// Deterministic for a given source content and configuration,
 /// independent of `workers` and of batch boundaries (shard and reconcile
 /// budgets alike).  Progress units are input fingerprints — kept ones as
-/// their shard completes, deferred ones as reconciliation consumes them —
-/// plus one final reconcile tick; cancellation aborts with
+/// their shard's GLOVE advances, deferred ones as reconciliation consumes
+/// them — plus one final reconcile tick; cancellation aborts with
 /// util::CancelledError (groups already emitted stay with the emitter —
 /// file sinks may hold a partial dataset on failure).
 [[nodiscard]] StreamShardedResult anonymize_sharded_stream(

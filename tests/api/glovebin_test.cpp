@@ -14,6 +14,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/fixtures.hpp"
@@ -65,6 +66,30 @@ TEST(GlovebinSource, StreamsRewindsAndReportsIdentity) {
   ASSERT_EQ(again.size(), data.size());
   for (std::size_t i = 0; i < data.size(); ++i) {
     EXPECT_EQ(again[i].members()[0], data[i].members()[0]) << i;
+  }
+}
+
+TEST(GlovebinSource, FileChangedSinceOpenFailsTheFetch) {
+  const test::TempDir dir;
+  const cdr::FingerprintDataset data = test::small_synth_dataset(20);
+  const std::string path = dir.file("data.glovebin");
+  cdr::write_dataset_glovebin_file(path, data, /*block_fingerprints=*/4);
+
+  GlovebinSource source{path};
+  std::vector<cdr::FingerprintSummary> summaries;
+  ASSERT_TRUE(source.summaries(summaries));
+  ASSERT_EQ(summaries.size(), data.size());
+  // Changed in place between the planning scan and a later pass.
+  std::ofstream{path, std::ios::binary | std::ios::app} << 'x';
+
+  const std::unordered_map<std::uint32_t, std::uint32_t> slot_of_id{{0, 0}};
+  std::vector<cdr::Fingerprint> store(1);
+  try {
+    (void)source.fetch(slot_of_id, store);
+    ADD_FAILURE() << "fetch read a file that changed since it was opened";
+  } catch (const util::DatasetError& e) {
+    EXPECT_NE(std::string{e.what()}.find(path), std::string::npos)
+        << e.what();
   }
 }
 

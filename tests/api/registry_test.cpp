@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "common/fixtures.hpp"
 #include "glove/api/engine.hpp"
+#include "glove/api/sink.hpp"
+#include "glove/api/source.hpp"
 
 namespace glove::api {
 namespace {
@@ -29,7 +33,8 @@ TEST(Registry, BuiltinStrategiesAreRegistered) {
 }
 
 /// A minimal external backend: publishes the input unchanged (only valid
-/// for already-anonymized data, but enough to prove the plug-in seam).
+/// for already-anonymized data — the sink rejects anything else — but
+/// enough to prove the plug-in seam).
 class IdentityStrategy final : public Anonymizer {
  public:
   std::string_view name() const noexcept override { return "identity"; }
@@ -55,12 +60,55 @@ TEST(Registry, ExternalStrategyRunsThroughTheSameEntryPoint) {
   ASSERT_NE(engine.find("identity"), nullptr);
 
   RunConfig config;
+  const auto anonymized = engine.run(test::paired_dataset(), config);
+  ASSERT_TRUE(anonymized.ok()) << anonymized.error().message;
+  const cdr::FingerprintDataset& data = anonymized.value().anonymized;
   config.strategy = "identity";
-  const cdr::FingerprintDataset data = test::paired_dataset();
   const auto result = engine.run(data, config);
   ASSERT_TRUE(result.ok()) << result.error().message;
   EXPECT_EQ(result.value().anonymized.size(), data.size());
   EXPECT_EQ(result.value().strategy, "identity");
+}
+
+/// A broken streaming backend: publishes every input fingerprint as its
+/// own group, whatever k asks.
+class PassThroughStreamingStrategy final : public Anonymizer {
+ public:
+  std::string_view name() const noexcept override { return "pass-through"; }
+  std::string_view description() const noexcept override {
+    return "streams the input out ungrouped";
+  }
+  bool supports_streaming() const noexcept override { return true; }
+  StrategyOutcome run_streaming(DatasetSource& source, const RunConfig&,
+                                const RunContext&,
+                                DatasetSink& sink) const override {
+    sink.begin(source.name());
+    cdr::Fingerprint fp;
+    while (source.next(fp)) sink.write(std::move(fp));
+    sink.finish();
+    return StrategyOutcome{};
+  }
+};
+
+TEST(Registry, SinkRejectsAGroupSmallerThanK) {
+  Engine engine;
+  engine.register_strategy(std::make_unique<PassThroughStreamingStrategy>());
+  RunConfig config;
+  config.strategy = "pass-through";
+  const cdr::FingerprintDataset data = test::paired_dataset();
+  MemorySource source{data};
+  MemorySink sink;
+  const auto result = engine.run(source, sink, config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, ErrorCode::kInternal);
+  EXPECT_NE(result.error().message.find("k-anonymity"), std::string::npos)
+      << result.error().message;
+  EXPECT_EQ(sink.groups_written(), 0u);
+
+  // The same sink outside an Engine run (a format conversion) is unarmed.
+  MemorySink unarmed;
+  unarmed.write(data[0]);
+  EXPECT_EQ(unarmed.groups_written(), 1u);
 }
 
 TEST(Registry, RegisteringExistingNameReplacesTheStrategy) {

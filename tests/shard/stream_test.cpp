@@ -224,10 +224,10 @@ TEST(ShardStream, SmallBudgetRunsManyPassesLargeBudgetFew) {
   EXPECT_LE(wide_result.stats.reconcile_passes, 1u);
 }
 
-TEST(ShardStream, MaterializedSourceSkipsRestreamingButMatchesOutput) {
-  // An in-memory MemorySource advertises its backing dataset, so the
-  // pipeline reads by index: one reported (logical) pass, identical
-  // bytes to the text-backed multi-pass run.
+TEST(ShardStream, MemorySourceFetchesThePassesASpilledStreamReads) {
+  // An in-memory MemorySource serves summaries() and fetch() like the
+  // spill of a text-backed stream, so both report the same passes and
+  // produce identical bytes.
   const cdr::FingerprintDataset data = test::small_synth_dataset(60);
   std::ostringstream serialized;
   cdr::write_dataset_csv(serialized, data);
@@ -237,14 +237,13 @@ TEST(ShardStream, MaterializedSourceSkipsRestreamingButMatchesOutput) {
   StreamShardedResult memory_result;
   std::vector<cdr::Fingerprint> memory_groups =
       run_stream(memory_stream, config, &memory_result);
-  EXPECT_EQ(memory_result.pass_fingerprints,
-            (std::vector<std::uint64_t>{data.size()}));
 
   TextStream text_stream{serialized.str()};
   StreamShardedResult text_result;
   std::vector<cdr::Fingerprint> text_groups =
       run_stream(text_stream, config, &text_result);
   EXPECT_GE(text_result.pass_fingerprints.size(), 2u);
+  EXPECT_EQ(memory_result.pass_fingerprints, text_result.pass_fingerprints);
   EXPECT_EQ(
       test::dataset_to_csv(cdr::FingerprintDataset{std::move(memory_groups)}),
       test::dataset_to_csv(cdr::FingerprintDataset{std::move(text_groups)}));
@@ -576,13 +575,94 @@ TEST(ShardStream, ReconcilePassAccountingAddsUp) {
   EXPECT_GT(tight_result.stats.reconcile_passes,
             wide_result.stats.reconcile_passes);
 
-  // Materialized sources fetch leftovers by index: no later passes.
+  // An in-memory source fetches its leftovers through the same passes.
   api::MemorySource memory_stream{data};
   StreamShardedResult memory_result;
   (void)run_stream(memory_stream, tight, &memory_result);
-  EXPECT_EQ(memory_result.stats.reconcile_passes, 0u);
-  EXPECT_EQ(memory_result.pass_fingerprints,
-            (std::vector<std::uint64_t>{data.size()}));
+  EXPECT_EQ(memory_result.stats.reconcile_passes,
+            tight_result.stats.reconcile_passes);
+  EXPECT_EQ(memory_result.pass_fingerprints, tight_result.pass_fingerprints);
+}
+
+TEST(ShardStream, EverySourceKindReportsTheSamePasses) {
+  // One data plane: an in-memory source, a spilled text stream and a
+  // glovebin file are read through summaries()/fetch() alike, so every
+  // budget and worker count gives each of them the same bytes and the
+  // same pass structure.
+  const cdr::FingerprintDataset data = test::small_synth_dataset(60);
+  std::ostringstream serialized;
+  cdr::write_dataset_csv(serialized, data);
+  const test::TempDir dir;
+  const std::string bin = dir.file("synth60.glovebin");
+  cdr::write_dataset_glovebin_file(bin, data, /*block_fingerprints=*/8);
+
+  ShardConfig base = small_config();
+  base.max_shard_users = 8;
+  base.halo_m = 2'000.0;  // several reconcile chunks
+  for (const std::size_t budget :
+       {std::size_t{1}, std::numeric_limits<std::size_t>::max()}) {
+    for (const std::size_t workers : {1u, 4u}) {
+      SCOPED_TRACE("budget=" + std::to_string(budget) +
+                   " workers=" + std::to_string(workers));
+      ShardConfig config = base;
+      config.reconcile_chunk_users = budget;
+      config.workers = workers;
+
+      api::MemorySource memory{data};
+      StreamShardedResult memory_result;
+      std::vector<cdr::Fingerprint> memory_groups;
+      const std::string trace =
+          run_traced(memory, config, &memory_result, &memory_groups);
+      EXPECT_EQ(memory_result.pass_fingerprints,
+                test::read_once_passes(data.size(), trace));
+      EXPECT_GE(memory_result.stats.reconcile_passes, 1u);
+      const std::string memory_csv = test::dataset_to_csv(
+          cdr::FingerprintDataset{std::move(memory_groups)});
+
+      TextStream text{serialized.str()};
+      api::GlovebinSource file{bin};
+      for (api::DatasetSource* source :
+           {static_cast<api::DatasetSource*>(&text),
+            static_cast<api::DatasetSource*>(&file)}) {
+        SCOPED_TRACE(source->kind());
+        StreamShardedResult result;
+        std::vector<cdr::Fingerprint> groups =
+            run_stream(*source, config, &result);
+        EXPECT_EQ(test::dataset_to_csv(
+                      cdr::FingerprintDataset{std::move(groups)}),
+                  memory_csv);
+        EXPECT_EQ(result.pass_fingerprints, memory_result.pass_fingerprints);
+        EXPECT_EQ(result.stats.reconcile_passes,
+                  memory_result.stats.reconcile_passes);
+      }
+    }
+  }
+}
+
+TEST(ShardStream, SingleShardReportsProgressBeforeItFinishes) {
+  // One shard holding every fingerprint: its inner GLOVE progress must
+  // reach the caller while it runs, not only once it completes.
+  const cdr::FingerprintDataset data = test::small_synth_dataset(60);
+  ShardConfig config = small_config();
+  config.border = BorderPolicy::kNone;
+  config.max_shard_users = data.size();
+  config.tile_size_m = 1'000'000.0;
+  std::vector<std::uint64_t> reports;
+  util::RunHooks hooks;
+  hooks.progress = [&](std::uint64_t done, std::uint64_t) {
+    reports.push_back(done);
+  };
+  api::MemorySource source{data};
+  const StreamShardedResult result = anonymize_sharded_stream(
+      source, kGlove, config, [](cdr::Fingerprint&&) {}, hooks);
+  ASSERT_EQ(result.stats.shards, 1u);
+  ASSERT_EQ(result.stats.deferred_fingerprints, 0u);
+  EXPECT_TRUE(std::any_of(reports.begin(), reports.end(),
+                          [&](std::uint64_t done) {
+                            return done > 0 && done < data.size();
+                          }))
+      << "the shard reported progress only when it finished";
+  EXPECT_TRUE(std::is_sorted(reports.begin(), reports.end()));
 }
 
 TEST(ShardStream, ProgressCountsDeferredFingerprintsDuringReconcile) {
